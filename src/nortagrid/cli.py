@@ -238,7 +238,7 @@ def _emit_reports(args, reports, manifest):
 def cmd_fit(args):
     s = load_scenarios(args.scenarios)
     model = norta.fit(s, degree=args.degree, match_tol=args.match_tol,
-                      bisect_max_iter=args.bisect_max_iter, threads=args.threads)
+                      bisect_max_iter=args.bisect_max_iter)
     manifest = _manifest(args, "fit", [args.scenarios], tolerances={
         "match_tol": args.match_tol,
         "bisect_max_iter": args.bisect_max_iter,
@@ -429,8 +429,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="seed for any randomized step (default: command-specific)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent sub-tasks")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     p = argparse.ArgumentParser(

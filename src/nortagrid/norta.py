@@ -14,7 +14,6 @@ test-suite oracles).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -196,6 +195,58 @@ def _gh_nodes(degree):
         return x, wn
 
 
+def _normal_score_values(marginal, z):
+    """marginal.quantile(normal_cdf(z)); empirical marginals skip the CDF."""
+    if isinstance(marginal, EmpiricalMarginal):
+        return marginal.quantile_of_normal(z)
+    return np.asarray(marginal.quantile(normal_cdf(z)), dtype=float)
+
+
+def _matching_function(marginal_i, marginal_j, degree):
+    """The map rho -> c(rho) of one pair, for rho in [-1, 1].
+
+    Everything that does not depend on rho (the first axis's values,
+    their moments and its degeneracy) is built here once, so a bisection
+    pays only for the second axis on each step.
+    """
+    x, wn = _gh_nodes(degree)
+    sqrt2 = math.sqrt(2.0)
+    xi = _normal_score_values(marginal_i, sqrt2 * x)
+    flat_i = xi.max() == xi.min()
+    sw = float(wn.sum())
+    wx = wn * xi
+    ex = float(wx.sum()) * sw
+    ex2 = float((wx * xi).sum()) * sw
+    var_i = ex2 - ex * ex
+
+    def c(rho):
+        # The quadrature ignores mass beyond the node range; pull exact
+        # +-1 inside the open interval where the rotation is well defined.
+        rho = min(1.0 - 1e-12, max(-1.0 + 1e-12, rho))
+        shat = math.sqrt(max(0.0, 1.0 - rho * rho))
+        z2 = np.add.outer(rho * x, shat * x)
+        z2 *= sqrt2
+        yj = _normal_score_values(marginal_j, z2)
+        if flat_i or yj.max() == yj.min():
+            # Degenerate marginal: correlation is undefined, report 0
+            # rather than dividing rounding fuzz by rounding fuzz below.
+            return 0.0
+        # Collapse the independent axis first; one consistent double-sum
+        # weighting for every moment keeps c(0) at zero to rounding.
+        wy = yj @ wn            # E[Y | Z1 node k]
+        wy2 = (yj * yj) @ wn
+        ey = float((wn * wy).sum())
+        ey2 = float((wn * wy2).sum())
+        exy = float((wx * wy).sum())
+        var_j = ey2 - ey * ey
+        if var_i <= 0.0 or var_j <= 0.0:
+            return 0.0
+        c = (exy - ex * ey) / math.sqrt(var_i * var_j)
+        return min(1.0, max(-1.0, c))
+
+    return c
+
+
 def c_of_rho(marginal_i, marginal_j, rho_z, degree=64):
     """Correlation of the transformed pair induced by base correlation rho_z.
 
@@ -204,40 +255,15 @@ def c_of_rho(marginal_i, marginal_j, rho_z, degree=64):
     Gauss-Hermite quadrature over the rotated independent pair. The
     quadrature is deterministic, which keeps the map nondecreasing in
     rho_z as evaluated -- a Monte Carlo estimate would break the
-    bisection in solve_rho_z. Returns 0.0 for a degenerate marginal.
+    bisection in solve_rho_z. Empirical marginals are evaluated through
+    their normal-score thresholds, bit for bit equal to the generic
+    quantile(normal_cdf(.)) path that analytic marginals take. Returns
+    0.0 for a degenerate marginal.
     """
     rho = float(rho_z)
     if not -1.0 <= rho <= 1.0:
         raise ValidationError("rho_z must lie in [-1, 1]")
-    # The quadrature ignores mass beyond the node range; pull exact +-1
-    # inside the open interval where the rotation is well defined.
-    rho = min(1.0 - 1e-12, max(-1.0 + 1e-12, rho))
-    x, wn = _gh_nodes(degree)
-    shat = math.sqrt(max(0.0, 1.0 - rho * rho))
-    z1 = math.sqrt(2.0) * x
-    z2 = math.sqrt(2.0) * (rho * x[:, None] + shat * x[None, :])
-    xi = np.asarray(marginal_i.quantile(normal_cdf(z1)), dtype=float)
-    yj = np.asarray(marginal_j.quantile(normal_cdf(z2)), dtype=float)
-    if xi.max() == xi.min() or yj.max() == yj.min():
-        # Degenerate marginal: correlation is undefined, report 0 rather
-        # than dividing rounding fuzz by rounding fuzz below.
-        return 0.0
-    # Collapse the independent axis first; one consistent double-sum
-    # weighting for every moment keeps c(0) at zero to rounding.
-    wy = yj @ wn            # E[Y | Z1 node k]
-    wy2 = (yj * yj) @ wn
-    sw = float(wn.sum())
-    ex = float((wn * xi).sum()) * sw
-    ex2 = float((wn * xi * xi).sum()) * sw
-    ey = float((wn * wy).sum())
-    ey2 = float((wn * wy2).sum())
-    exy = float((wn * xi * wy).sum())
-    var_i = ex2 - ex * ex
-    var_j = ey2 - ey * ey
-    if var_i <= 0.0 or var_j <= 0.0:
-        return 0.0
-    c = (exy - ex * ey) / math.sqrt(var_i * var_j)
-    return min(1.0, max(-1.0, c))
+    return _matching_function(marginal_i, marginal_j, degree)(rho)
 
 
 def solve_rho_z(marginal_i, marginal_j, rho_x_target, *, tol=1e-4,
@@ -248,14 +274,16 @@ def solve_rho_z(marginal_i, marginal_j, rho_x_target, *, tol=1e-4,
     safe. Targets outside the attainable range clamp to the nearer
     endpoint (clamped=True). Discrete marginals make c step-like, so
     after max_iter the midpoint of the final bracket is returned with
-    its residual rather than failing.
+    its residual rather than failing. Every step evaluates the same
+    c_of_rho values, through one matching function built per pair.
     """
     target = float(rho_x_target)
     if not -1.0 <= target <= 1.0:
         raise ValidationError("target correlation must lie in [-1, 1]")
+    c_of = _matching_function(marginal_i, marginal_j, degree)
     lo, hi = -1.0 + 1e-6, 1.0 - 1e-6
-    c_lo = c_of_rho(marginal_i, marginal_j, lo, degree=degree)
-    c_hi = c_of_rho(marginal_i, marginal_j, hi, degree=degree)
+    c_lo = c_of(lo)
+    c_hi = c_of(hi)
     if c_hi - c_lo <= 1e-12:
         # Flat matching function (degenerate marginal): rho_z is moot.
         return RhoMatch(0.0, abs(target), False)
@@ -265,7 +293,7 @@ def solve_rho_z(marginal_i, marginal_j, rho_x_target, *, tol=1e-4,
         return RhoMatch(hi, abs(c_hi - target), target > c_hi)
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        c_mid = c_of_rho(marginal_i, marginal_j, mid, degree=degree)
+        c_mid = c_of(mid)
         if abs(c_mid - target) <= tol:
             return RhoMatch(mid, abs(c_mid - target), False)
         if c_mid < target:
@@ -277,7 +305,7 @@ def solve_rho_z(marginal_i, marginal_j, rho_x_target, *, tol=1e-4,
             # collapsed, so more halving cannot improve the residual.
             break
     mid = 0.5 * (lo + hi)
-    c_mid = c_of_rho(marginal_i, marginal_j, mid, degree=degree)
+    c_mid = c_of(mid)
     return RhoMatch(mid, abs(c_mid - target), False)
 
 
@@ -334,20 +362,15 @@ def _cholesky_with_jitter(y):
     raise NumericalError("correlation matrix is not factorable even with jitter")
 
 
-def _solve_pairs(marginals, sigma_x, pairs, degree, tol, max_iter, threads):
-    def one(pair):
-        i, j = pair
-        return solve_rho_z(marginals[i], marginals[j], sigma_x[i, j],
-                           tol=tol, max_iter=max_iter, degree=degree)
-
-    if threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, pairs))
-    return [one(p) for p in pairs]
+def _check_fit_options(degree, match_tol, bisect_max_iter):
+    for name, value in (("degree", degree), ("bisect_max_iter", bisect_max_iter)):
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+    if not 0.0 <= match_tol < math.inf:  # also rejects nan
+        raise ValidationError(f"match_tol must be a finite number >= 0, got {match_tol!r}")
 
 
-def fit(s: ScenarioSet, *, degree=64, match_tol=1e-4, bisect_max_iter=200,
-        threads=1) -> NortaModel:
+def fit(s: ScenarioSet, *, degree=64, match_tol=1e-4, bisect_max_iter=200) -> NortaModel:
     """Fit a NORTA model to an observed scenario set.
 
     Parameters
@@ -355,24 +378,24 @@ def fit(s: ScenarioSet, *, degree=64, match_tol=1e-4, bisect_max_iter=200,
     s : ScenarioSet
         K scenarios by n dimensions, K >= 2.
     degree : int
-        Gauss-Hermite degree per axis for the matching quadrature.
+        Gauss-Hermite degree per axis for the matching quadrature (>= 1).
     match_tol : float
-        Bisection tolerance on |c(rho_z) - rho_x|.
-    threads : int
-        Pair-matching worker threads; results are assembled in pair
-        order so the fit is deterministic for any thread count.
+        Bisection tolerance on |c(rho_z) - rho_x| (finite, >= 0).
+    bisect_max_iter : int
+        Bisection steps per pair (>= 1).
     """
+    _check_fit_options(degree, match_tol, bisect_max_iter)
     marginals, sigma_x = estimate_inputs(s)
     n = len(marginals)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    matches = _solve_pairs(marginals, sigma_x, pairs, degree, match_tol,
-                           bisect_max_iter, threads)
     sigma_z = np.eye(n)
     report = FitReport()
-    for (i, j), m in zip(pairs, matches):
-        sigma_z[i, j] = sigma_z[j, i] = m.rho_z
-        report.pairs.append(PairMatch(i, j, float(sigma_x[i, j]), m.rho_z,
-                                      m.residual, m.clamped))
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = solve_rho_z(marginals[i], marginals[j], sigma_x[i, j], tol=match_tol,
+                            max_iter=bisect_max_iter, degree=degree)
+            sigma_z[i, j] = sigma_z[j, i] = m.rho_z
+            report.pairs.append(PairMatch(i, j, float(sigma_x[i, j]), m.rho_z,
+                                          m.residual, m.clamped))
     y = nearest_correlation(sigma_z)
     report.repair_distance = float(np.linalg.norm(sigma_z - y))
     chol, jitter = _cholesky_with_jitter(y)

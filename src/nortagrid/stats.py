@@ -1,8 +1,9 @@
 """Univariate and bivariate statistical primitives.
 
-Empirical marginals with generalized-inverse quantiles, the standard
-normal CDF and its inverse, Pearson correlation, the exact earth mover's
-distance between empirical distributions, and correlation-matrix checks.
+Empirical marginals with generalized-inverse quantiles (and their exact
+normal-score thresholds), the standard normal CDF and its inverse,
+Pearson correlation, the exact earth mover's distance between
+empirical distributions, and correlation-matrix checks.
 All array-valued entry points accept scalars or ndarrays.
 """
 from __future__ import annotations
@@ -22,11 +23,13 @@ __all__ = [
     "normal_cdf",
     "normal_pdf",
     "normal_quantile",
+    "normal_score_thresholds",
     "pearson_corr",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_THRESHOLD_CACHE: dict[int, np.ndarray] = {}
 
 
 class ConstantVectorError(ValidationError):
@@ -69,6 +72,13 @@ class EmpiricalMarginal:
         out = self.sorted_values[np.minimum(idx, self.n - 1)]
         return float(out) if np.ndim(u) == 0 else out
 
+    def quantile_of_normal(self, z):
+        """``quantile(normal_cdf(z))`` for an ndarray z, bit for bit, by a
+        lookup in the sample count's normal-score thresholds: no CDF
+        evaluation and no level validation."""
+        tau = normal_score_thresholds(self.n)
+        return self.sorted_values[np.searchsorted(tau, z, side="right")]
+
     def mean(self):
         return float(self.sorted_values.mean())
 
@@ -95,6 +105,46 @@ def normal_cdf(z):
     tail = 0.5 * erfc(np.abs(z_arr) / _SQRT2)
     out = np.where(z_arr <= 0.0, tail, 1.0 - tail)
     return float(out) if np.ndim(z) == 0 else out
+
+
+def normal_score_thresholds(n):
+    """Exact normal-score cut points of an n-sample empirical quantile.
+
+    ``tau[m]`` is the smallest double z with ``normal_cdf(z) > (m+1)/n``,
+    for m = 0..n-2. As normal_cdf is nondecreasing in z, this makes
+    ``EmpiricalMarginal.quantile(normal_cdf(z))`` equal to
+    ``sorted_values[searchsorted(tau, z, side="right")]`` for every
+    double z. Each cut is found by bisection over the ordered bit
+    patterns of the doubles in [-40, 40], with normal_cdf itself as the
+    oracle; the n - 1 cuts of one n are computed once and cached
+    (read-only).
+    """
+    try:
+        return _THRESHOLD_CACHE[n]
+    except KeyError:
+        pass
+    levels = (np.arange(1, n + 1) / n)[:-1]  # the quantile's own cumprobs
+    # Ordered keys: doubles sort like these unsigned integers.
+    sign = np.uint64(1 << 63)
+
+    def key(x):
+        bits = np.asarray(x, dtype=float).view(np.uint64)
+        return np.where(bits & sign, ~bits, bits | sign)
+
+    def value(k):
+        return np.where(k & sign, k & ~sign, ~k).view(float)
+
+    lo = np.full(levels.shape, key(-40.0), dtype=np.uint64)  # cdf(lo) <= level
+    hi = np.full(levels.shape, key(40.0), dtype=np.uint64)   # cdf(hi) > level
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // np.uint64(2)
+        above = normal_cdf(value(mid)) > levels
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    tau = value(hi)
+    tau.flags.writeable = False
+    _THRESHOLD_CACHE[n] = tau
+    return tau
 
 
 def normal_pdf(z):

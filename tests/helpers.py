@@ -5,6 +5,7 @@ enumeration, LP vertex enumeration, big-M feasibility) so that a bug in
 the library cannot hide behind shared code paths.
 """
 import itertools
+import math
 
 import numpy as np
 
@@ -20,6 +21,19 @@ from nortagrid.grid import (
 from nortagrid.lp import LpProblem
 from nortagrid.norta import ScenarioSet
 from nortagrid.twostage import RecourseSolver, TwoStageProblem
+
+
+def ar1_height_panel(k=16, dim=72, seed=42):
+    """Correlated integer heights: AR(1) latent field pushed through a
+    lognormal-style floor, clipped to 0..12 (the acceptance panel)."""
+    rng = np.random.default_rng(seed)
+    eps = rng.standard_normal((k, dim))
+    z = np.empty((k, dim))
+    z[:, 0] = eps[:, 0]
+    for j in range(1, dim):
+        z[:, j] = 0.7 * z[:, j - 1] + math.sqrt(1.0 - 0.49) * eps[:, j]
+    heights = np.clip(np.floor(np.exp(1.0 + 0.6 * z)), 0.0, 12.0)
+    return ScenarioSet.with_uniform_probs(heights)
 
 
 def two_bus_grid(susceptance=1.0, capacity=10.0, demand=5.0, budget=100.0):

@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from helpers import (
+    ar1_height_panel,
     brute_force_big_m_z,
     enumerate_first_stage,
     random_lp,
@@ -27,7 +28,7 @@ from nortagrid.grid import (
     operational_topology,
 )
 from nortagrid.lp import solve_lp
-from nortagrid.norta import ScenarioSet, c_of_rho, estimate_inputs, fit, nearest_correlation, sample
+from nortagrid.norta import c_of_rho, estimate_inputs, fit, nearest_correlation, sample
 from nortagrid.stats import emd, normal_quantile
 from nortagrid.twostage import (
     RecourseSolver,
@@ -43,19 +44,6 @@ class AnalyticNormal:
     def quantile(self, u):
         u = np.clip(np.asarray(u, dtype=float), 2.0 ** -54, np.nextafter(1.0, 0.0))
         return normal_quantile(u)
-
-
-def ar1_height_panel(k=16, dim=72, seed=42):
-    """Correlated integer heights: AR(1) latent field pushed through a
-    lognormal-style floor, clipped to 0..12."""
-    rng = np.random.default_rng(seed)
-    eps = rng.standard_normal((k, dim))
-    z = np.empty((k, dim))
-    z[:, 0] = eps[:, 0]
-    for j in range(1, dim):
-        z[:, j] = 0.7 * z[:, j - 1] + math.sqrt(1.0 - 0.49) * eps[:, j]
-    heights = np.clip(np.floor(np.exp(1.0 + 0.6 * z)), 0.0, 12.0)
-    return ScenarioSet.with_uniform_probs(heights)
 
 
 def test_criterion_01_copula_identity_on_normal_marginals():

@@ -212,6 +212,17 @@ class TestCliErrors:
         assert code == 3
         assert "synthetic blow-up" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--degree", 0, "degree"), ("--degree", -2, "degree"),
+        ("--match-tol", -1, "match_tol"), ("--match-tol", "nan", "match_tol"),
+        ("--bisect-max-iter", 0, "bisect_max_iter"),
+    ])
+    def test_bad_fit_options(self, workdir, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "m.json"
+        assert run("fit", workdir / "scen.csv", flag, value, "--out", out) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_extension_checked(self, workdir, tmp_path):
         assert run("evaluate", workdir / "grid.json", workdir / "plans.json",
                    workdir / "synth.csv", "--out", tmp_path / "rep.txt") == 2
@@ -284,17 +295,19 @@ class TestCliBehaviour:
     def test_parser_defaults(self):
         p = cli.build_parser()
         g = p.parse_args(["generate", "m.json", "--out", "s.csv"])
-        assert g.count == 800 and g.seed is None and g.threads == 1
+        assert g.count == 800 and g.seed is None
         f = p.parse_args(["fit", "s.csv", "--out", "m.json"])
         assert f.degree == 64 and f.match_tol == 1e-4 and f.bisect_max_iter == 200
         s = p.parse_args(["solve", "g.json", "s.csv", "--out", "p.json"])
         assert s.node_budget == 10 ** 6 and s.method == "exact"
 
-    def test_fit_threads_do_not_change_the_artifact(self, workdir, tmp_path, monkeypatch):
+    def test_fit_rerun_writes_the_same_model(self, workdir, monkeypatch):
+        # A refit through a relative path: everything but the manifest's
+        # input path must equal the pipeline's model file, every float too.
         monkeypatch.chdir(workdir)
-        assert run("fit", "scen.csv", "--threads", 4,
-                   "--out", "model_t.json", "--quiet") == 0
-        one = json.loads((workdir / "model_t.json").read_text())
-        ref = json.loads((workdir / "model.json").read_text())
-        assert one["sigma_z"] == ref["sigma_z"]
-        assert one["chol"] == ref["chol"]
+        assert run("fit", "scen.csv", "--out", "model_r.json", "--quiet") == 0
+        rerun = json.loads((workdir / "model_r.json").read_text())
+        first = json.loads((workdir / "model.json").read_text())
+        assert rerun.pop("manifest")["inputs"][0]["sha256"] == \
+            first.pop("manifest")["inputs"][0]["sha256"]
+        assert rerun == first

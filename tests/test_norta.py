@@ -9,9 +9,15 @@ Closed-form oracles used below:
     permutation symmetry the nearest correlation matrix to
     equicorr(t < -1/2) is exactly equicorr(-1/2).
 """
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import ar1_height_panel
+from nortagrid import norta
 from nortagrid.errors import ValidationError
 from nortagrid.norta import (
     FitReport,
@@ -38,6 +44,17 @@ class NormalMarginal:
     def quantile(self, u):
         u = np.clip(np.asarray(u, dtype=float), 2.0 ** -54, np.nextafter(1.0, 0.0))
         return normal_quantile(u)
+
+
+class QuantileOnly:
+    """Exposes only ``quantile``, which sends c_of_rho down the generic
+    quantile(normal_cdf(z)) path: the oracle for the threshold lookup."""
+
+    def __init__(self, marginal):
+        self._marginal = marginal
+
+    def quantile(self, u):
+        return self._marginal.quantile(u)
 
 
 def equicorr(n, r):
@@ -171,6 +188,60 @@ class TestSolveRhoZ:
     def test_target_domain(self):
         with pytest.raises(ValidationError):
             solve_rho_z(bernoulli(), bernoulli(), 1.2)
+
+
+class TestThresholdPathOracle:
+    """Empirical marginals skip normal_cdf through their normal-score
+    thresholds; every value must match the generic path bit for bit."""
+
+    @pytest.mark.parametrize("degree", [64, 128])
+    @pytest.mark.parametrize("n", [2, 3, 16, 17])
+    def test_c_of_rho_bit_identical(self, n, degree):
+        rng = np.random.default_rng(100 + n)
+        ties = EmpiricalMarginal(rng.integers(0, 3, size=n))
+        spread = EmpiricalMarginal(rng.integers(0, 9, size=n))
+        flat = EmpiricalMarginal(np.full(n, 4.0))
+        rhos = np.linspace(-1.0, 1.0, 201)
+        for a, b in ((ties, spread), (spread, ties), (spread, spread), (ties, flat),
+                     (flat, spread)):
+            for rho in rhos:
+                fast = c_of_rho(a, b, float(rho), degree=degree)
+                slow = c_of_rho(QuantileOnly(a), QuantileOnly(b), float(rho), degree=degree)
+                assert fast == slow, (n, degree, float(rho))
+
+    def test_fit_bit_identical_on_the_acceptance_panel(self, monkeypatch):
+        panel = ar1_height_panel()
+        fast = fit(panel)
+
+        def generic_inputs(s):
+            marginals, sigma = estimate_inputs(s)
+            return [QuantileOnly(m) for m in marginals], sigma
+
+        monkeypatch.setattr(norta, "estimate_inputs", generic_inputs)
+        slow = fit(panel)
+        assert np.array_equal(fast.sigma_z, slow.sigma_z)
+        assert np.array_equal(fast.chol, slow.chol)
+        assert fast.report.to_dict() == slow.report.to_dict()
+
+
+small_samples = st.lists(st.integers(0, 6), min_size=2, max_size=20)
+unit_interval = st.floats(-1.0, 1.0)
+
+
+class TestMatchingProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(small_samples, small_samples, unit_interval, unit_interval)
+    def test_c_is_nondecreasing_in_rho(self, xs, ys, r1, r2):
+        a, b = EmpiricalMarginal(xs), EmpiricalMarginal(ys)
+        lo, hi = min(r1, r2), max(r1, r2)
+        assert c_of_rho(a, b, lo) <= c_of_rho(a, b, hi) + 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_samples, small_samples, unit_interval)
+    def test_residual_is_the_distance_at_the_returned_rho(self, xs, ys, target):
+        a, b = EmpiricalMarginal(xs), EmpiricalMarginal(ys)
+        m = solve_rho_z(a, b, target)
+        assert m.residual == abs(c_of_rho(a, b, m.rho_z) - target)
 
 
 class TestNearestCorrelation:
@@ -336,13 +407,26 @@ class TestFit:
         assert model.columns == (12, 40)
         assert model.dim == 2
 
-    def test_deterministic_and_thread_count_invariant(self):
+    def test_fit_is_deterministic(self):
         rng = np.random.default_rng(15)
         s = ScenarioSet.with_uniform_probs(rng.integers(0, 5, size=(9, 5)))
-        a = fit(s, threads=1)
-        b = fit(s, threads=4)
+        a = fit(s)
+        b = fit(s)
         assert np.array_equal(a.sigma_z, b.sigma_z)
         assert np.array_equal(a.chol, b.chol)
+        assert a.report.to_dict() == b.report.to_dict()
+
+    @pytest.mark.parametrize("field, value", [
+        ("degree", 0), ("degree", -3), ("degree", 2.5),
+        ("match_tol", -1.0), ("match_tol", math.nan), ("match_tol", math.inf),
+        ("bisect_max_iter", 0), ("bisect_max_iter", -1),
+    ])
+    def test_rejects_bad_options(self, field, value):
+        # One column: no pair is ever matched, so only the up-front check
+        # can catch these.
+        s = ScenarioSet.with_uniform_probs([[0.0], [2.0]])
+        with pytest.raises(ValidationError, match=field):
+            fit(s, **{field: value})
 
     def test_needs_two_scenarios(self):
         with pytest.raises(ValidationError):

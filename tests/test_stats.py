@@ -18,6 +18,7 @@ from nortagrid.stats import (
     normal_cdf,
     normal_pdf,
     normal_quantile,
+    normal_score_thresholds,
     pearson_corr,
 )
 
@@ -169,6 +170,33 @@ class TestEmpiricalMarginal:
             EmpiricalMarginal([1.0, math.inf])
         with pytest.raises(ValidationError):
             EmpiricalMarginal([math.nan])
+
+
+class TestNormalScoreThresholds:
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 800])
+    def test_each_cut_is_the_first_double_past_its_level(self, n):
+        tau = normal_score_thresholds(n)
+        assert tau.shape == (n - 1,)
+        for m, t in enumerate(tau, start=1):
+            assert normal_cdf(t) > m / n >= normal_cdf(np.nextafter(t, -np.inf))
+
+    def test_cached_and_read_only(self):
+        tau = normal_score_thresholds(16)
+        assert normal_score_thresholds(16) is tau
+        assert not tau.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17])
+    def test_lookup_equals_quantile_of_cdf(self, n):
+        rng = np.random.default_rng(n)
+        m = EmpiricalMarginal(rng.integers(0, 4, size=n))
+        tau = normal_score_thresholds(n)
+        # The cuts and their neighbouring doubles are where an off-by-one
+        # would show; the rest spans both tails.
+        z = np.concatenate([tau, np.nextafter(tau, -np.inf), np.nextafter(tau, np.inf),
+                            np.linspace(-30.0, 30.0, 2001), rng.normal(size=500)])
+        assert np.array_equal(m.quantile_of_normal(z), m.quantile(normal_cdf(z)))
+        grid = z[-128:].reshape(2, 64)
+        assert np.array_equal(m.quantile_of_normal(grid), m.quantile(normal_cdf(grid)))
 
 
 class TestPearsonCorr:

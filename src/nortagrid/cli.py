@@ -28,7 +28,7 @@ from .errors import NumericalError, ResourceLimitError, ValidationError
 from .grid import (GridInstance, HardeningPlan, InstanceSpec, generate_instance,
                    load_grid, load_scenarios, save_grid, save_scenarios)
 from .norta import FitReport, NortaModel, PairMatch, ScenarioSet, estimate_inputs
-from .stats import EmpiricalMarginal, emd
+from .stats import EmpiricalMarginal, emd, spread
 from .twostage import (STAT_ROWS, RecourseSolver, TwoStageProblem, budget_sweep,
                        evaluate_oos, greedy_first_stage, solve_first_stage)
 
@@ -105,16 +105,8 @@ def _seven_stats(values):
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return None
-    q25, q50, q75 = (float(v) for v in np.percentile(arr, [25.0, 50.0, 75.0]))
-    return {
-        "mean": float(arr.mean()),
-        "std": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-        "min": float(arr.min()),
-        "25%": q25,
-        "50%": q50,
-        "75%": q75,
-        "max": float(arr.max()),
-    }
+    # STAT_ROWS[1:] is ("mean", "std", "min", "25%", "50%", "75%", "max").
+    return dict(zip(STAT_ROWS[1:], (float(arr.mean()), *spread(arr))))
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Empirical marginals with generalized-inverse quantiles (and their exact
 normal-score thresholds), the standard normal CDF and its inverse,
 Pearson correlation, the exact earth mover's distance between
-empirical distributions, and correlation-matrix checks.
+empirical distributions, a sample's spread summary, and
+correlation-matrix checks.
 All array-valued entry points accept scalars or ndarrays.
 """
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "normal_quantile",
     "normal_score_thresholds",
     "pearson_corr",
+    "spread",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -229,6 +231,16 @@ def pearson_corr(xs, ys):
         raise ConstantVectorError("correlation undefined for a constant vector")
     r = float(dx @ dy) / math.sqrt(sxx * syy)
     return min(1.0, max(-1.0, r))
+
+
+def spread(values):
+    """Table-style spread of a non-empty sample: (std, min, 25%, 50%,
+    75%, max), std with the n-1 denominator (0 for one value) and
+    quartiles by linear interpolation."""
+    arr = np.asarray(values, dtype=float)
+    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    q25, q50, q75 = (float(v) for v in np.percentile(arr, [25.0, 50.0, 75.0]))
+    return std, float(arr.min()), q25, q50, q75, float(arr.max())
 
 
 def emd(f: EmpiricalMarginal, g: EmpiricalMarginal):

@@ -21,6 +21,7 @@ from . import lp
 from .errors import RecourseError, ResourceLimitError, ValidationError
 from .grid import GridInstance, HardeningPlan, _components_idx, operational_topology
 from .norta import ScenarioSet
+from .stats import spread
 
 __all__ = [
     "OosReport",
@@ -45,7 +46,6 @@ class RecourseSolution:
     z: np.ndarray
     s: np.ndarray
     g: np.ndarray
-    u: np.ndarray
     alpha: np.ndarray
     e: np.ndarray
     shed: float
@@ -76,6 +76,15 @@ class TwoStageProblem:
         if self.first_stage_cost is None:
             return 0.0
         return float(self.first_stage_cost @ np.asarray(heights))
+
+
+def _survival_key(z):
+    """Cache key of bus-level survival z, packed 8 buses to a byte (exact
+    for any bus count); a K x n_buses z gives its K row keys as a list."""
+    packed = np.ascontiguousarray(np.packbits(z, axis=-1))
+    if packed.ndim == 1:
+        return packed.tobytes()
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
 
 
 class RecourseSolver:
@@ -153,20 +162,40 @@ class RecourseSolver:
         np.add.at(flow, g.head_idx, e)
         np.add.at(flow, g.tail_idx, -e)
         residual = float(np.max(np.abs(flow - gen + s), initial=0.0))
-        self._shed_cache[z.tobytes()] = shed
-        return RecourseSolution(z=z, s=s, g=gen, u=z.astype(int), alpha=alpha,
-                                e=e, shed=shed, balance_residual=residual)
+        self._shed_cache[_survival_key(z)] = shed
+        return RecourseSolution(z=z, s=s, g=gen, alpha=alpha, e=e, shed=shed,
+                                balance_residual=residual)
 
     def shed_for_topology(self, z) -> float:
         z = np.asarray(z, dtype=bool)
-        key = z.tobytes()
         try:
-            return self._shed_cache[key]
+            return self._shed_cache[_survival_key(z)]
         except KeyError:
             return self.solve_topology(z).shed
 
     def shed_for(self, plan: HardeningPlan, scenario) -> float:
         return self.shed_for_topology(operational_topology(self.grid, plan, scenario))
+
+    def sheds(self, heights, deltas) -> list:
+        """Shed under each scenario row of deltas (K x flooded), in order.
+        All K keys come from one batch; only misses reach the LP, and a
+        failing LP raises RecourseError with its row as scenario_index."""
+        alive = np.ones((deltas.shape[0], deltas.shape[1] + 1), dtype=bool)
+        np.greater_equal(heights, deltas, out=alive[:, :-1])
+        # Safe buses have flood position -1: the all-True last column.
+        z = alive[:, self.grid.bus_flood_pos]
+        cache = self._shed_cache
+        out = []
+        for k, key in enumerate(_survival_key(z)):
+            shed = cache.get(key)
+            if shed is None:
+                try:
+                    shed = self.shed_for_topology(z[k])
+                except RecourseError as exc:
+                    raise RecourseError(str(exc), lp_status=exc.lp_status,
+                                        scenario_index=k) from exc
+            out.append(shed)
+        return out
 
 
 def recourse(grid: GridInstance, plan: HardeningPlan, scenario) -> RecourseSolution:
@@ -175,34 +204,20 @@ def recourse(grid: GridInstance, plan: HardeningPlan, scenario) -> RecourseSolut
     return RecourseSolver(grid).solve_topology(z)
 
 
-def _heights_matrix(scenarios: ScenarioSet):
-    return scenarios.scenarios
-
-
-def _alive_to_z(grid: GridInstance, alive_sub):
-    pos = grid.bus_flood_pos
-    z = np.ones(grid.n_buses, dtype=bool)
-    exposed = pos >= 0
-    z[exposed] = alive_sub[pos[exposed]]
-    return z
-
-
 class _SaaEvaluator:
     """Scenario-averaged shed for height vectors, on a shared solver."""
 
     def __init__(self, problem: TwoStageProblem, solver: RecourseSolver):
         self.problem = problem
         self.solver = solver
-        self.heights_mat = _heights_matrix(problem.scenarios)
-        self.probs = problem.scenarios.probs
+        self.deltas = problem.scenarios.scenarios
+        self.probs = problem.scenarios.probs.tolist()
 
     def mean_shed(self, heights):
-        h = np.asarray(heights)
+        # Left to right from 0.0: the summation order is part of the value.
         total = 0.0
-        for k in range(self.heights_mat.shape[0]):
-            alive = h >= self.heights_mat[k]
-            z = _alive_to_z(self.problem.grid, alive)
-            total += self.probs[k] * self.solver.shed_for_topology(z)
+        for p, shed in zip(self.probs, self.solver.sheds(heights, self.deltas)):
+            total += p * shed
         return total
 
     def objective(self, heights):
@@ -220,12 +235,16 @@ def _search_data(problem: TwoStageProblem):
     grid = problem.grid
     flooded = grid.flooded_substations()
     nf = len(flooded)
-    heights_mat = _heights_matrix(problem.scenarios)
+    heights_mat = problem.scenarios.scenarios
     max_h = heights_mat.max(axis=0).astype(int) if heights_mat.size else np.zeros(nf, dtype=int)
     caps = np.minimum(np.array([s.max_height for s in flooded], dtype=int), max_h)
-    fixed = np.array([s.fixed_cost for s in flooded])
-    var = np.array([s.var_cost for s in flooded])
-    return nf, caps, max_h, fixed, var
+    fixed = np.array([s.fixed_cost for s in flooded])[:, None]
+    var = np.array([s.var_cost for s in flooded])[:, None]
+    # level[i, h]: cost of height h at substation i (0 at h = 0, inf above
+    # its cap), the same float as HardeningPlan.cost's fixed + var * h.
+    hs = np.arange(caps.max(initial=0) + 1)
+    level = np.where(hs <= caps[:, None], fixed * (hs >= 1) + var * hs, np.inf)
+    return nf, caps, max_h, level
 
 
 def solve_first_stage(problem: TwoStageProblem, budget=None, *,
@@ -235,12 +254,14 @@ def solve_first_stage(problem: TwoStageProblem, budget=None, *,
     Substations are explored in order of descending worst-case flood
     height, heights ascending from 0 up to min(max_height, worst
     scenario height) -- taller protection is dominated. The node bound
-    hardens all undecided substations to that cap while ignoring the
-    budget; pruning on bound > incumbent is exact whenever shed is
-    non-increasing in protection, which holds for the capacity-adequate
-    instances the generator emits (see generate_instance). Pruning is
-    strict so tying optima survive; among them the lexicographically
-    smallest height vector is returned, with its SAA value.
+    hardens each undecided substation to the tallest height up to that
+    cap whose own cost fits the budget left (with the branching 1e-9
+    slack, so no height the search would try is left out); pruning on
+    bound > incumbent is exact whenever shed is non-increasing in
+    protection, which holds for the capacity-adequate instances the
+    generator emits (see generate_instance). Pruning is strict so tying
+    optima survive; among them the lexicographically smallest height
+    vector is returned, with its SAA value.
     """
     grid = problem.grid
     if budget is None:
@@ -249,7 +270,7 @@ def solve_first_stage(problem: TwoStageProblem, budget=None, *,
         raise ValidationError("budget must be non-negative")
     solver = solver or RecourseSolver(grid)
     evaluator = _SaaEvaluator(problem, solver)
-    nf, caps, max_h, fixed, var = _search_data(problem)
+    nf, caps, max_h, level = _search_data(problem)
     order = np.argsort(-max_h, kind="stable")
 
     if nf == 0:
@@ -261,9 +282,11 @@ def solve_first_stage(problem: TwoStageProblem, budget=None, *,
     best_x = None
     nodes = 0
 
-    def bound_heights(depth):
+    def bound_heights(depth, cost):
+        # Costs rise with height, so the affordable heights are 1..count.
+        rest = order[depth:]
         h = x.copy()
-        h[order[depth:]] = caps[order[depth:]]
+        h[rest] = np.count_nonzero(cost + level[rest, 1:] <= budget + 1e-9, axis=1)
         return h
 
     def dfs(depth, cost):
@@ -281,16 +304,14 @@ def solve_first_stage(problem: TwoStageProblem, budget=None, *,
             return
         if best_x is not None:
             # Undecided entries of x are still 0, so this is the cost of
-            # the assigned prefix alone; the shed term hardens the rest
-            # to their caps, a lower bound when shed is non-increasing.
-            # Strict comparison keeps tying optima alive for the
-            # lexicographic tie-break.
-            bound = problem.stage_cost(x) + evaluator.mean_shed(bound_heights(depth))
+            # the assigned prefix alone; strict comparison keeps tying
+            # optima alive for the lexicographic tie-break.
+            bound = problem.stage_cost(x) + evaluator.mean_shed(bound_heights(depth, cost))
             if bound > best_val:
                 return
         i = order[depth]
         for h in range(caps[i] + 1):
-            step = fixed[i] + var[i] * h if h >= 1 else 0.0
+            step = level[i, h]
             if cost + step > budget + 1e-9:
                 break
             x[i] = h
@@ -322,19 +343,15 @@ def greedy_first_stage(problem: TwoStageProblem, budget=None, *, solver=None):
         raise ValidationError("budget must be non-negative")
     solver = solver or RecourseSolver(grid)
     evaluator = _SaaEvaluator(problem, solver)
-    nf, caps, _, fixed, var = _search_data(problem)
-
-    def level_cost(i, h):
-        return fixed[i] + var[i] * h if h >= 1 else 0.0
-
+    nf, caps, _, level = _search_data(problem)
     x = np.zeros(nf, dtype=int)
     current = evaluator.objective(x)
     while True:
-        spent = sum(level_cost(i, x[i]) for i in range(nf))
+        spent = sum(level[i, x[i]] for i in range(nf))
         best = None  # (ratio, index, target height, value)
         for i in range(nf):
             for h in range(x[i] + 1, caps[i] + 1):
-                extra = level_cost(i, h) - level_cost(i, x[i])
+                extra = level[i, h] - level[i, x[i]]
                 if spent + extra > budget + 1e-9:
                     break
                 old = x[i]
@@ -379,18 +396,8 @@ class OosReport:
                 self.q25, self.q50, self.q75, self.max)
 
     def to_dict(self):
-        d = {
-            "m": self.m,
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.min,
-            "25%": self.q25,
-            "50%": self.q50,
-            "75%": self.q75,
-            "max": self.max,
-            "v_oos": self.v_oos,
-            "first_stage_cost": self.first_stage_cost,
-        }
+        d = {"m": self.m, **dict(zip(STAT_ROWS[1:], self.stat_values()[1:])),
+             "v_oos": self.v_oos, "first_stage_cost": self.first_stage_cost}
         if self.so_estimate is not None:
             d["so_estimate"] = self.so_estimate
         if self.budget is not None:
@@ -406,8 +413,7 @@ def evaluate_oos(problem: TwoStageProblem, plan: HardeningPlan,
 
     The mean is probability-weighted, which under the uniform 1/M
     weights of generated sets is the plain out-of-sample average; the
-    spread statistics are computed on the raw shed sample (std with the
-    M-1 denominator, percentiles by linear interpolation).
+    spread statistics are stats.spread of the raw shed sample.
     """
     grid = problem.grid
     nf = len(grid.flooded_ids)
@@ -416,20 +422,12 @@ def evaluate_oos(problem: TwoStageProblem, plan: HardeningPlan,
             f"synthetic width {synthetic.dim} does not match {nf} flooded substations")
     plan.check_feasible(grid, budget=math.inf)
     solver = solver or RecourseSolver(grid)
-    m = synthetic.n_scenarios
-    sheds = np.empty(m)
-    for j in range(m):
-        try:
-            sheds[j] = solver.shed_for(plan, synthetic.scenarios[j])
-        except RecourseError as exc:
-            raise RecourseError(str(exc), lp_status=exc.lp_status,
-                                scenario_index=j) from exc
+    sheds = np.array(solver.sheds(plan.heights, synthetic.scenarios))
     mean = float(synthetic.probs @ sheds)
-    std = float(sheds.std(ddof=1)) if m > 1 else 0.0
-    q25, q50, q75 = (float(v) for v in np.percentile(sheds, [25.0, 50.0, 75.0]))
+    std, lo, q25, q50, q75, hi = spread(sheds)
     fs_cost = problem.stage_cost(plan.heights)
-    return OosReport(m=m, mean=mean, std=std, min=float(sheds.min()),
-                     q25=q25, q50=q50, q75=q75, max=float(sheds.max()),
+    return OosReport(m=synthetic.n_scenarios, mean=mean, std=std, min=lo,
+                     q25=q25, q50=q50, q75=q75, max=hi,
                      v_oos=fs_cost + mean, first_stage_cost=fs_cost, plan=plan)
 
 

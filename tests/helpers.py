@@ -17,6 +17,7 @@ from nortagrid.grid import (
     InstanceSpec,
     Substation,
     generate_instance,
+    operational_topology,
 )
 from nortagrid.lp import LpProblem
 from nortagrid.norta import ScenarioSet
@@ -110,6 +111,19 @@ def enumerate_first_stage(problem: TwoStageProblem, budget, *, solver=None):
         elif abs(val - best_val) <= 1e-12:
             best_plans.append(combo)
     return best_val, best_plans
+
+
+def per_scenario_mean_shed(problem: TwoStageProblem, solver, heights):
+    """The SAA shed average one scenario at a time: build each bus
+    survival vector, look it up alone, and sum probs[k] * shed_k left to
+    right from 0.0. The batched mean_shed must equal it bit for bit."""
+    plan = HardeningPlan(np.asarray(heights, dtype=int))
+    scen = problem.scenarios
+    total = 0.0
+    for k in range(scen.n_scenarios):
+        z = operational_topology(problem.grid, plan, scen.scenarios[k])
+        total += scen.probs[k] * solver.shed_for_topology(z)
+    return total
 
 
 def _combo_cache():

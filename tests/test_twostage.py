@@ -13,13 +13,16 @@ import pytest
 
 from helpers import (
     enumerate_first_stage,
+    per_scenario_mean_shed,
     small_instance,
     star_grid,
     two_bus_grid,
     uniform_scenarios,
 )
+from nortagrid import lp
 from nortagrid.errors import RecourseError, ResourceLimitError, ValidationError
 from nortagrid.grid import HardeningPlan, InstanceSpec, generate_instance
+from nortagrid.norta import ScenarioSet
 from nortagrid.twostage import (
     STAT_ROWS,
     RecourseSolver,
@@ -31,6 +34,7 @@ from nortagrid.twostage import (
     saa_objective,
     solve_first_stage,
 )
+from nortagrid.twostage import _SaaEvaluator, _survival_key
 
 
 def check_solution_invariants(grid, sol):
@@ -40,7 +44,7 @@ def check_solution_invariants(grid, sol):
     assert np.all(sol.s <= grid.demand * sol.z + 1e-9)
     assert np.all(sol.g >= -1e-9)
     assert np.all(sol.g <= grid.gen_max * sol.z + 1e-9)
-    assert np.array_equal(sol.u, sol.z)
+    assert sol.z.dtype == bool and sol.z.shape == (nb,)
     assert np.all(np.abs(sol.alpha) <= math.pi + 1e-9)
     assert np.all(np.abs(sol.alpha[~sol.z.astype(bool)]) <= 1e-12)
     for r, br in enumerate(grid.branches):
@@ -146,6 +150,60 @@ class TestSaaObjective:
         assert saa_objective(prob, HardeningPlan.zero(g)) == pytest.approx(1.25)
 
 
+class TestBatchedSaa:
+    """The batched mean_shed against the one-scenario-at-a-time loop."""
+
+    @staticmethod
+    def assert_matches_oracle(problem, plans):
+        batched = _SaaEvaluator(problem, RecourseSolver(problem.grid))
+        oracle_solver = RecourseSolver(problem.grid)
+        for h in plans:
+            want = per_scenario_mean_shed(problem, oracle_solver, h)
+            got = batched.mean_shed(np.asarray(h))
+            assert got == want, (list(h), got, want)  # bit for bit
+        assert batched.solver._shed_cache == oracle_solver._shed_cache
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(17)
+        for trial in range(10):
+            grid, scen = small_instance(700 + trial)
+            caps = np.array([grid.substation(s).max_height for s in grid.flooded_ids])
+            plans = [rng.integers(0, caps + 1) for _ in range(8)]
+            self.assert_matches_oracle(TwoStageProblem(grid, scen), plans)
+
+    def test_non_uniform_weights(self):
+        rng = np.random.default_rng(18)
+        for trial in range(6):
+            grid, scen = small_instance(720 + trial)
+            probs = rng.dirichlet(np.ones(scen.n_scenarios))
+            weighted = ScenarioSet(scen.scenarios, probs / probs.sum(), columns=scen.columns)
+            caps = np.array([grid.substation(s).max_height for s in grid.flooded_ids])
+            plans = [rng.integers(0, caps + 1) for _ in range(6)]
+            self.assert_matches_oracle(TwoStageProblem(grid, weighted), plans)
+
+    def test_keys_stay_exact_past_64_buses(self):
+        # 67 buses; only the last three flooded substations (buses 64-66)
+        # ever go down, so patterns differ only past the first 64 bits.
+        grid = star_grid(n_flooded=66)
+        rng = np.random.default_rng(19)
+        deltas = np.zeros((6, 66))
+        deltas[:, -3:] = rng.integers(1, 4, size=(6, 3))
+        problem = TwoStageProblem(grid, uniform_scenarios(deltas, grid.flooded_ids))
+        plans = []
+        for _ in range(4):
+            h = np.zeros(66, dtype=int)
+            h[-3:] = rng.integers(0, 4, size=3)
+            plans.append(h)
+        self.assert_matches_oracle(problem, plans)
+        z = np.ones(grid.n_buses, dtype=bool)
+        assert len(_survival_key(z)) == 9
+        low, high = z.copy(), z.copy()
+        low[63], high[66] = False, False
+        keys = _survival_key(np.stack([z, low, high]))
+        assert len(set(keys)) == 3
+        assert keys == [_survival_key(row) for row in (z, low, high)]
+
+
 class TestTwoStageProblemValidation:
     def test_scenario_width_must_match(self):
         g = two_bus_grid()
@@ -203,6 +261,25 @@ class TestSolveFirstStage:
             assert val == pytest.approx(best, abs=1e-9), f"trial {trial}"
             again = saa_objective(problem, plan, solver=solver)
             assert again == pytest.approx(val, abs=1e-12)
+
+    def test_returns_smallest_optimal_plan_where_budget_trims_bound(self):
+        # Budgets below the cost of hardening every substation to its
+        # cap, so the budget-aware bound stops short of some cap.
+        rng = np.random.default_rng(8)
+        for trial in range(20):
+            grid, scen = small_instance(800 + trial, max_height=3)
+            problem = TwoStageProblem(grid, scen)
+            solver = RecourseSolver(grid)
+            caps = np.minimum(scen.scenarios.max(axis=0).astype(int),
+                              [s.max_height for s in grid.flooded_substations()])
+            budget = float(rng.uniform(0.2, 0.9)) * HardeningPlan(caps).cost(grid)
+            plan, val = solve_first_stage(problem, budget, solver=solver)
+            _, candidates = enumerate_first_stage(problem, budget, solver=solver)
+            exact = {c: problem.stage_cost(c) + per_scenario_mean_shed(problem, solver, c)
+                     for c in candidates}
+            best = min(exact.values())
+            assert val == best, f"trial {trial}"
+            assert tuple(plan.heights) == min(c for c, v in exact.items() if v == best)
 
     def test_no_flooded_substations(self):
         grid, scen = generate_instance(InstanceSpec(n_substations=2, n_flooded=0,
@@ -325,6 +402,25 @@ class TestEvaluateOos:
         stats = rep.stat_values()
         assert len(stats) == len(STAT_ROWS) == 8
         assert stats[0] is None
+
+    def test_failing_lp_names_its_scenario(self, monkeypatch):
+        g = two_bus_grid(susceptance=10.0)
+        synth = uniform_scenarios([[0.0], [1.0], [0.0], [3.0], [2.0]], g.flooded_ids)
+        problem = TwoStageProblem(g, uniform_scenarios([[1.0]], g.flooded_ids))
+        solver = RecourseSolver(g)
+        real = lp.solve_lp
+
+        def fail_when_bus_down(prob):
+            sol = real(prob)
+            if prob.upper[1] == 0.0:  # bus 1 is down: nothing to serve
+                return lp.LpSolution(lp.ITERATION_LIMIT, None, None, 0.0, sol.iterations)
+            return sol
+
+        monkeypatch.setattr(lp, "solve_lp", fail_when_bus_down)
+        with pytest.raises(RecourseError) as info:
+            evaluate_oos(problem, HardeningPlan(np.array([2])), synth, solver=solver)
+        assert info.value.scenario_index == 3
+        assert info.value.lp_status == lp.ITERATION_LIMIT
 
     def test_width_mismatch(self):
         g = two_bus_grid()

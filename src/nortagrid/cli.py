@@ -19,6 +19,7 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -322,8 +323,10 @@ def _parse_budgets(args, grid):
         budgets = [float(args.budget)]
     else:
         budgets = [grid.budget]
-    if any(b < 0 for b in budgets):
-        raise ValidationError("budgets must be non-negative")
+    flag = "--budgets" if getattr(args, "budgets", None) else "--budget"
+    for b in budgets:
+        if not 0 <= b < math.inf:  # also rejects nan
+            raise ValidationError(f"{flag}: each budget must be a finite number >= 0, got {b!r}")
     return budgets
 
 

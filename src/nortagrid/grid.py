@@ -122,8 +122,8 @@ class GridInstance:
                 raise ValidationError(f"branch {r.id}: susceptance must be positive")
         if self.reference_bus not in bus_set:
             raise ValidationError(f"reference bus {self.reference_bus} is not a known bus")
-        if self.budget < 0:
-            raise ValidationError("budget must be non-negative")
+        if not 0 <= self.budget < math.inf:  # also rejects nan
+            raise ValidationError(f"budget must be a finite number >= 0, got {self.budget!r}")
 
     def _derive(self):
         self.n_buses = len(self.buses)

@@ -196,21 +196,16 @@ class _Simplex:
         xb = self.x[self.basis]
         lob = self.lo[self.basis]
         hib = self.hi[self.basis]
-        for i in range(self.m):
-            di = delta[i]
-            if di > _PIVOT_TOL:
-                if not np.isfinite(lob[i]):
-                    continue
-                limit = (xb[i] - lob[i]) / di
-                lower_side = True
-            elif di < -_PIVOT_TOL:
-                if not np.isfinite(hib[i]):
-                    continue
-                limit = (xb[i] - hib[i]) / di
-                lower_side = False
-            else:
-                continue
-            limit = max(limit, 0.0)
+        # Candidate rows: a basic variable moving toward a finite bound.
+        down = (delta > _PIVOT_TOL) & np.isfinite(lob)
+        rows = np.flatnonzero(down | ((delta < -_PIVOT_TOL) & np.isfinite(hib)))
+        lower = down[rows]
+        limits = (xb[rows] - np.where(lower, lob[rows], hib[rows])) / delta[rows]
+        limits = np.where(limits < 0.0, 0.0, limits)  # max(limit, 0.0), -0.0 kept
+        # Scan the candidates in row order: a limit more than 1e-12 below
+        # the best so far takes over, a tie within 1e-12 goes to the
+        # smaller basic column.
+        for i, limit, lower_side in zip(rows.tolist(), limits.tolist(), lower.tolist()):
             if limit < best_t - 1e-12:
                 best_t, leave, hit_lower = limit, i, lower_side
             elif leave >= 0 and abs(limit - best_t) <= 1e-12 and self.basis[i] < self.basis[leave]:

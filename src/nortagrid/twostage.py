@@ -7,13 +7,14 @@ branches, per-component angle reference). The big-M survival logic of
 the original mixed-integer recourse is replaced by its closed form:
 given protection x and water height delta, a bus survives iff x >= delta
 -- equality keeps the bus up -- so the recourse is a plain LP per
-scenario and survival patterns can be cached and shared across every
+scenario, split into one LP per energized component, and survival
+patterns and components can be cached and shared across every
 evaluation path (SAA, branch-and-bound bounds, out-of-sample sweeps).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,76 +89,96 @@ def _survival_key(z):
 
 
 class RecourseSolver:
-    """Builds and solves recourse LPs, memoizing by survival pattern.
+    """Solves recourse LPs one energized component at a time, memoizing
+    by survival pattern and by component.
 
     The LP depends on the scenario and plan only through the per-bus
     survival vector z, so one grid needs at most 2^|flooded| distinct
-    solves no matter how many (plan, scenario) pairs are evaluated.
+    patterns no matter how many (plan, scenario) pairs are evaluated.
+    The connected components of a pattern's operational network share
+    no constraint (every balance row, flow row and angle reference stays
+    inside one), so each is its own LP, cached by its bus mask and
+    shared by every pattern that contains it; a component with no
+    generator or no demand serves exactly 0 and needs no LP.
     """
 
     def __init__(self, grid: GridInstance):
         self.grid = grid
+        self._susceptance = np.array([r.susceptance for r in grid.branches])
+        self._capacity = np.array([r.capacity for r in grid.branches])
         self._shed_cache: dict[bytes, float] = {}
+        self._component_cache: dict[bytes, np.ndarray] = {}
 
-    def _build(self, z):
+    def _component_lp(self, buses, branches):
+        """Max-served-demand LP of one energized component: its buses
+        (sorted indices) and the branches between them. Columns are
+        served, generated and angle per bus, then flow per branch; the
+        angle reference is the component's lowest-id bus."""
         g = self.grid
-        nb, nr = g.n_buses, len(g.branches)
-        idx_s, idx_g, idx_a, idx_e = 0, nb, 2 * nb, 3 * nb
-        ncols = 3 * nb + nr
-        c = np.zeros(ncols)
-        c[idx_s:idx_s + nb] = -1.0  # maximize served demand
-        lo = np.zeros(ncols)
-        hi = np.zeros(ncols)
-        zf = z.astype(float)
-        hi[idx_s:idx_s + nb] = g.demand * zf
-        hi[idx_g:idx_g + nb] = g.gen_max * zf
-        lo[idx_a:idx_a + nb] = np.where(z, -math.pi, 0.0)
-        hi[idx_a:idx_a + nb] = np.where(z, math.pi, 0.0)
-        both_on = z[g.head_idx] & z[g.tail_idx]
-        cap = np.where(both_on, np.array([r.capacity for r in g.branches]), 0.0)
-        lo[idx_e:idx_e + nr] = -cap
-        hi[idx_e:idx_e + nr] = cap
-        # One angle reference per energized component: its lowest-id bus.
-        for comp in _components_idx(g, z):
-            ref = min(comp, key=lambda i: g.bus_ids[i])
-            lo[idx_a + ref] = hi[idx_a + ref] = 0.0
+        nb, nr = len(buses), len(branches)
+        idx_g, idx_a, idx_e = nb, 2 * nb, 3 * nb
+        c = np.zeros(3 * nb + nr)
+        c[:nb] = -1.0  # maximize served demand
+        cap = self._capacity[branches]
+        lo = np.concatenate([np.zeros(2 * nb), np.full(nb, -math.pi), -cap])
+        hi = np.concatenate([g.demand[buses], g.gen_max[buses], np.full(nb, math.pi), cap])
+        ref = idx_a + int(np.argmin(g.bus_ids[buses]))
+        lo[ref] = hi[ref] = 0.0
         prob = lp.LpProblem.with_bounds(c, lo, hi)
-        out_rows = [[] for _ in range(nb)]
-        in_rows = [[] for _ in range(nb)]
-        for r_i in range(nr):
-            out_rows[g.head_idx[r_i]].append(r_i)
-            in_rows[g.tail_idx[r_i]].append(r_i)
-        for j in range(nb):
-            coeffs = {idx_s + j: 1.0, idx_g + j: -1.0}
-            for r_i in out_rows[j]:
-                coeffs[idx_e + r_i] = coeffs.get(idx_e + r_i, 0.0) + 1.0
-            for r_i in in_rows[j]:
-                coeffs[idx_e + r_i] = coeffs.get(idx_e + r_i, 0.0) - 1.0
+        pos = {j: k for k, j in enumerate(buses.tolist())}
+        heads = [pos[j] for j in g.head_idx[branches].tolist()]
+        tails = [pos[j] for j in g.tail_idx[branches].tolist()]
+        balance = [{k: 1.0, idx_g + k: -1.0} for k in range(nb)]
+        for r in range(nr):
+            balance[heads[r]][idx_e + r] = 1.0
+            balance[tails[r]][idx_e + r] = -1.0
+        for coeffs in balance:
             prob.add_row(coeffs, "==", 0.0)
-        for r_i, branch in enumerate(self.grid.branches):
-            if both_on[r_i]:
-                prob.add_row({idx_e + r_i: 1.0,
-                              idx_a + g.head_idx[r_i]: -branch.susceptance,
-                              idx_a + g.tail_idx[r_i]: branch.susceptance}, "==", 0.0)
-        return prob, (idx_s, idx_g, idx_a, idx_e)
+        for r, b in enumerate(self._susceptance[branches].tolist()):
+            prob.add_row({idx_e + r: 1.0, idx_a + heads[r]: -b, idx_a + tails[r]: b},
+                         "==", 0.0)
+        return prob
+
+    def _component_x(self, buses, branches):
+        """Optimal LP point of one energized component, cached by its bus mask."""
+        mask = np.zeros(self.grid.n_buses, dtype=bool)
+        mask[buses] = True
+        key = _survival_key(mask)
+        x = self._component_cache.get(key)
+        if x is None:
+            sol = lp.solve_lp(self._component_lp(buses, branches))
+            if sol.status != lp.OPTIMAL:
+                raise RecourseError(
+                    f"recourse LP finished with status {sol.status} (energized "
+                    f"component of {len(buses)}/{self.grid.n_buses} buses)",
+                    lp_status=sol.status)
+            x = self._component_cache[key] = sol.x
+        return x
 
     def solve_topology(self, z) -> RecourseSolution:
-        """Fresh full solve for one survival pattern."""
+        """Full recourse solution for one survival pattern, scattered from
+        its components' LP points; served demand is summed over the
+        components in order of their lowest bus index."""
         z = np.asarray(z, dtype=bool)
         g = self.grid
-        prob, (idx_s, idx_g, idx_a, idx_e) = self._build(z)
-        sol = lp.solve_lp(prob)
-        if sol.status != lp.OPTIMAL:
-            raise RecourseError(
-                f"recourse LP finished with status {sol.status} "
-                f"(survivors {int(z.sum())}/{z.size} buses)",
-                lp_status=sol.status)
-        nb, nr = g.n_buses, len(g.branches)
-        s = sol.x[idx_s:idx_s + nb]
-        gen = sol.x[idx_g:idx_g + nb]
-        alpha = sol.x[idx_a:idx_a + nb]
-        e = sol.x[idx_e:idx_e + nr]
-        shed = float(g.total_demand - s.sum())
+        nb = g.n_buses
+        s, gen, alpha = np.zeros(nb), np.zeros(nb), np.zeros(nb)
+        e = np.zeros(len(g.branches))
+        both_on = z[g.head_idx] & z[g.tail_idx]
+        served = 0.0
+        for comp in _components_idx(g, z):
+            buses = np.array(comp)
+            if not (g.demand[buses].any() and g.gen_max[buses].any()):
+                continue  # serves exactly 0
+            branches = np.flatnonzero(both_on & np.isin(g.head_idx, buses))
+            x = self._component_x(buses, branches)
+            n = len(buses)
+            s[buses] = x[:n]
+            gen[buses] = x[n:2 * n]
+            alpha[buses] = x[2 * n:3 * n]
+            e[branches] = x[3 * n:]
+            served += float(x[:n].sum())
+        shed = float(g.total_demand - served)
         flow = np.zeros(nb)
         np.add.at(flow, g.head_idx, e)
         np.add.at(flow, g.tail_idx, -e)
@@ -247,6 +268,16 @@ def _search_data(problem: TwoStageProblem):
     return nf, caps, max_h, level
 
 
+def _check_budget(budget):
+    if not 0 <= budget < math.inf:  # also rejects nan
+        raise ValidationError(f"budget must be a finite number >= 0, got {budget!r}")
+
+
+def _check_node_budget(node_budget):
+    if not isinstance(node_budget, (int, np.integer)) or node_budget < 1:
+        raise ValidationError(f"node_budget must be an integer >= 1, got {node_budget!r}")
+
+
 def solve_first_stage(problem: TwoStageProblem, budget=None, *,
                       node_budget=10 ** 6, solver=None):
     """Exact first stage by depth-first branch-and-bound.
@@ -266,8 +297,8 @@ def solve_first_stage(problem: TwoStageProblem, budget=None, *,
     grid = problem.grid
     if budget is None:
         budget = grid.budget
-    if budget < 0:
-        raise ValidationError("budget must be non-negative")
+    _check_budget(budget)
+    _check_node_budget(node_budget)
     solver = solver or RecourseSolver(grid)
     evaluator = _SaaEvaluator(problem, solver)
     nf, caps, max_h, level = _search_data(problem)
@@ -339,8 +370,7 @@ def greedy_first_stage(problem: TwoStageProblem, budget=None, *, solver=None):
     grid = problem.grid
     if budget is None:
         budget = grid.budget
-    if budget < 0:
-        raise ValidationError("budget must be non-negative")
+    _check_budget(budget)
     solver = solver or RecourseSolver(grid)
     evaluator = _SaaEvaluator(problem, solver)
     nf, caps, _, level = _search_data(problem)
@@ -441,8 +471,10 @@ def budget_sweep(problem: TwoStageProblem, budgets, synthetic: ScenarioSet,
     budgets = [float(b) for b in budgets]
     if not budgets:
         raise ValidationError("need at least one budget")
-    if any(b < 0 for b in budgets):
-        raise ValidationError("budgets must be non-negative")
+    # Check every option before the first solve, not when its turn comes.
+    for b in budgets:
+        _check_budget(b)
+    _check_node_budget(node_budget)
     solver = RecourseSolver(problem.grid)
     reports = []
     for budget in sorted(budgets):

@@ -1,7 +1,8 @@
 """Shared builders and independent oracles for the test suite.
 
 Oracles here recompute answers from first principles (exhaustive plan
-enumeration, LP vertex enumeration, big-M feasibility) so that a bug in
+enumeration, LP vertex enumeration, big-M feasibility, one recourse LP
+over the whole grid, the per-row simplex ratio test) so that a bug in
 the library cannot hide behind shared code paths.
 """
 import itertools
@@ -19,6 +20,8 @@ from nortagrid.grid import (
     generate_instance,
     operational_topology,
 )
+from nortagrid import lp
+from nortagrid.grid import _components_idx
 from nortagrid.lp import LpProblem
 from nortagrid.norta import ScenarioSet
 from nortagrid.twostage import RecourseSolver, TwoStageProblem
@@ -238,3 +241,98 @@ def uniform_scenarios(rows, columns):
     arr = np.asarray(rows, dtype=float)
     return ScenarioSet(arr, np.full(arr.shape[0], 1.0 / arr.shape[0]),
                        columns=tuple(columns))
+
+
+def whole_pattern_lp(grid, z):
+    """One recourse LP over the whole grid for survival pattern z: dead
+    buses and off branches stay in as columns fixed at 0, with one angle
+    reference per energized component (its lowest-id bus). Returns the
+    problem and the column offsets of (served, generated, angle, flow)."""
+    g = grid
+    z = np.asarray(z, dtype=bool)
+    nb, nr = g.n_buses, len(g.branches)
+    idx_s, idx_g, idx_a, idx_e = 0, nb, 2 * nb, 3 * nb
+    ncols = 3 * nb + nr
+    c = np.zeros(ncols)
+    c[idx_s:idx_s + nb] = -1.0  # maximize served demand
+    lo = np.zeros(ncols)
+    hi = np.zeros(ncols)
+    zf = z.astype(float)
+    hi[idx_s:idx_s + nb] = g.demand * zf
+    hi[idx_g:idx_g + nb] = g.gen_max * zf
+    lo[idx_a:idx_a + nb] = np.where(z, -math.pi, 0.0)
+    hi[idx_a:idx_a + nb] = np.where(z, math.pi, 0.0)
+    both_on = z[g.head_idx] & z[g.tail_idx]
+    cap = np.where(both_on, np.array([r.capacity for r in g.branches]), 0.0)
+    lo[idx_e:idx_e + nr] = -cap
+    hi[idx_e:idx_e + nr] = cap
+    for comp in _components_idx(g, z):
+        ref = min(comp, key=lambda i: g.bus_ids[i])
+        lo[idx_a + ref] = hi[idx_a + ref] = 0.0
+    prob = LpProblem.with_bounds(c, lo, hi)
+    out_rows = [[] for _ in range(nb)]
+    in_rows = [[] for _ in range(nb)]
+    for r_i in range(nr):
+        out_rows[g.head_idx[r_i]].append(r_i)
+        in_rows[g.tail_idx[r_i]].append(r_i)
+    for j in range(nb):
+        coeffs = {idx_s + j: 1.0, idx_g + j: -1.0}
+        for r_i in out_rows[j]:
+            coeffs[idx_e + r_i] = coeffs.get(idx_e + r_i, 0.0) + 1.0
+        for r_i in in_rows[j]:
+            coeffs[idx_e + r_i] = coeffs.get(idx_e + r_i, 0.0) - 1.0
+        prob.add_row(coeffs, "==", 0.0)
+    for r_i, branch in enumerate(g.branches):
+        if both_on[r_i]:
+            prob.add_row({idx_e + r_i: 1.0,
+                          idx_a + g.head_idx[r_i]: -branch.susceptance,
+                          idx_a + g.tail_idx[r_i]: branch.susceptance}, "==", 0.0)
+    return prob, (idx_s, idx_g, idx_a, idx_e)
+
+
+def whole_pattern_shed(grid, z):
+    """Shed of survival pattern z from the whole-grid LP."""
+    prob, (idx_s, *_) = whole_pattern_lp(grid, z)
+    sol = lp.solve_lp(prob)
+    assert sol.status == lp.OPTIMAL, sol.status
+    return float(grid.total_demand - sol.x[idx_s:idx_s + grid.n_buses].sum())
+
+
+class LoopRatioSimplex(lp._Simplex):
+    """The simplex with its ratio test written as one Python pass over
+    every basis row; counts the pivots its 1e-12 tie-break decides."""
+
+    ties = 0
+
+    def _ratio_test(self, e, direction):
+        w = np.linalg.solve(self.A[:, self.basis], self.A[:, e])
+        delta = direction * w
+        best_t = self.hi[e] - self.lo[e]
+        if not np.isfinite(best_t):
+            best_t = np.inf
+        leave = -1
+        hit_lower = False
+        xb = self.x[self.basis]
+        lob = self.lo[self.basis]
+        hib = self.hi[self.basis]
+        for i in range(self.m):
+            di = delta[i]
+            if di > lp._PIVOT_TOL:
+                if not np.isfinite(lob[i]):
+                    continue
+                limit = (xb[i] - lob[i]) / di
+                lower_side = True
+            elif di < -lp._PIVOT_TOL:
+                if not np.isfinite(hib[i]):
+                    continue
+                limit = (xb[i] - hib[i]) / di
+                lower_side = False
+            else:
+                continue
+            limit = max(limit, 0.0)
+            if limit < best_t - 1e-12:
+                best_t, leave, hit_lower = limit, i, lower_side
+            elif leave >= 0 and abs(limit - best_t) <= 1e-12 and self.basis[i] < self.basis[leave]:
+                leave, hit_lower = i, lower_side
+                self.ties += 1
+        return best_t, leave, hit_lower, w

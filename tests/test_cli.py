@@ -196,6 +196,43 @@ class TestCliErrors:
         assert run("solve", workdir / "grid.json", workdir / "scen.csv",
                    "--budget", -3, "--out", tmp_path / "p.json") == 2
 
+    @pytest.mark.parametrize("verb, flags", [
+        ("solve", ("--budgets", "nan")),
+        ("solve", ("--budget", "inf")),
+        ("solve", ("--method", "greedy", "--budgets", "2,nan")),
+        ("sweep", ("--budgets", "1,-inf")),
+    ])
+    def test_non_finite_budget(self, workdir, tmp_path, capsys, verb, flags):
+        inputs = [workdir / "grid.json", workdir / "scen.csv"]
+        if verb == "sweep":
+            inputs.append(workdir / "synth.csv")
+        out = tmp_path / "out.json"
+        assert run(verb, *inputs, *flags, "--out", out) == 2
+        assert "budget" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_grid_budget(self, workdir, tmp_path, capsys):
+        data = json.loads((workdir / "grid.json").read_text())
+        data["budget"] = float("nan")
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(data))  # writes the non-standard NaN token
+        out = tmp_path / "p.json"
+        assert run("solve", grid, workdir / "scen.csv", "--out", out) == 2
+        assert "budget" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["solve", "sweep"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_node_budget_below_one(self, workdir, tmp_path, capsys, verb, value):
+        inputs = [workdir / "grid.json", workdir / "scen.csv"]
+        if verb == "sweep":
+            inputs.append(workdir / "synth.csv")
+        out = tmp_path / "out.json"
+        assert run(verb, *inputs, "--budgets", "4", "--node-budget", value,
+                   "--out", out) == 2
+        assert "node_budget" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_node_budget_exhaustion(self, workdir, tmp_path, capsys):
         code = run("solve", workdir / "grid.json", workdir / "scen.csv",
                    "--budget", 4, "--node-budget", 1,

@@ -1,5 +1,6 @@
 """Grid data model, survival topology, instance generator, file formats."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -87,6 +88,12 @@ class TestGridValidation:
         with pytest.raises(ValidationError):
             GridInstance([Substation(0, False, -1.0, 1.0, 2)],
                          [Bus(0, 0, 1.0, 0.0, 2.0)], [], 0, 1.0)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    def test_non_finite_budget(self, budget):
+        with pytest.raises(ValidationError, match="budget"):
+            GridInstance([Substation(0, False, 1.0, 1.0, 2)],
+                         [Bus(0, 0, 1.0, 0.0, 2.0)], [], 0, budget)
 
     def test_negative_demand_rejected(self):
         with pytest.raises(ValidationError):

@@ -8,7 +8,8 @@ determinants are exact integers, which makes the singular filter safe.
 import numpy as np
 import pytest
 
-from helpers import random_lp
+from helpers import LoopRatioSimplex, random_lp, small_instance, whole_pattern_lp
+from nortagrid import lp
 from nortagrid.errors import ValidationError
 from nortagrid.lp import LpProblem, solve_lp
 
@@ -103,6 +104,59 @@ class TestRandomAgainstVertexOracle:
         if a.x is not None:
             assert np.array_equal(a.x, b.x)
             assert a.iterations == b.iterations
+
+
+def degenerate_lp(rng, n=5, m=4):
+    """Small boxes, zero right-hand sides and rows repeated at twice the
+    scale: degenerate vertices and exact ratio-test ties."""
+    c = rng.integers(-9, 10, size=n).astype(float)
+    prob = LpProblem.with_bounds(c, np.zeros(n), rng.integers(1, 4, size=n).astype(float))
+    for _ in range(m):
+        coefs = rng.integers(-3, 4, size=n).astype(float)
+        sense = str(rng.choice(["<=", ">=", "=="], p=[0.6, 0.3, 0.1]))
+        rhs = float(rng.integers(0, 3))
+        for scale in (1.0, 2.0)[:int(rng.integers(1, 3))]:
+            prob.add_row({j: scale * coefs[j] for j in range(n)}, sense, scale * rhs)
+    return prob
+
+
+class TestRatioTestMatchesRowLoop:
+    """The candidate-row ratio test against the per-row loop it replaced:
+    same status, bit-identical point, same pivots and objective."""
+
+    def test_bit_identical_on_random_lps(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        problems = [random_lp(rng, n=int(rng.integers(2, 9)), m=int(rng.integers(1, 6)),
+                              with_eq=k % 2 == 0)[0] for k in range(100)]
+        problems += [degenerate_lp(rng, n=int(rng.integers(2, 7)), m=int(rng.integers(1, 5)))
+                     for _ in range(100)]
+        for trial in range(40):
+            grid, _ = small_instance(900 + trial)
+            problems.append(whole_pattern_lp(grid, rng.random(grid.n_buses) < 0.7)[0])
+        made = []
+
+        class Recording(LoopRatioSimplex):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        statuses = set()
+        for k, prob in enumerate(problems):
+            new = solve_lp(prob)
+            with monkeypatch.context() as m:
+                m.setattr(lp, "_Simplex", Recording)
+                old = solve_lp(prob)
+            assert new.status == old.status, k
+            assert new.iterations == old.iterations, k
+            assert new.objective == old.objective, k
+            if old.x is None:
+                assert new.x is None, k
+            else:
+                assert new.x.tobytes() == old.x.tobytes(), k
+            statuses.add(old.status)
+        assert len(made) == len(problems)
+        assert sum(s.ties for s in made) > 0  # the tie-break was exercised
+        assert {"optimal", "infeasible"} <= statuses
 
 
 class TestValidation:

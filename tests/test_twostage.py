@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     enumerate_first_stage,
@@ -18,10 +20,20 @@ from helpers import (
     star_grid,
     two_bus_grid,
     uniform_scenarios,
+    whole_pattern_shed,
 )
 from nortagrid import lp
 from nortagrid.errors import RecourseError, ResourceLimitError, ValidationError
-from nortagrid.grid import HardeningPlan, InstanceSpec, generate_instance
+from nortagrid.grid import (
+    Branch,
+    Bus,
+    GridInstance,
+    HardeningPlan,
+    InstanceSpec,
+    Substation,
+    _components_idx,
+    generate_instance,
+)
 from nortagrid.norta import ScenarioSet
 from nortagrid.twostage import (
     STAT_ROWS,
@@ -120,6 +132,120 @@ class TestRecourse:
         a = solver.shed_for(HardeningPlan(np.array([1])), [1.0])
         b = solver.shed_for(HardeningPlan(np.array([2])), [2.0])  # same z
         assert a == b
+
+
+small_grids = st.builds(
+    InstanceSpec,
+    n_substations=st.integers(2, 6),
+    n_flooded=st.just(1),
+    buses_per_substation=st.integers(1, 3),
+    topology=st.sampled_from(["ring", "tree", "grid"]),
+    n_scenarios=st.just(1),
+    gen_bus_fraction=st.floats(0.1, 0.9),
+    capacity_slack=st.floats(0.05, 1.5),  # below ~1 the lines bind
+    seed=st.integers(0, 2 ** 31 - 1),
+)
+
+
+def components_with_lp(grid, z):
+    return sum(1 for comp in _components_idx(grid, z)
+               if grid.demand[comp].any() and grid.gen_max[comp].any())
+
+
+class TestComponentDecomposition:
+    """Recourse solved per energized component against one LP over the
+    whole grid (the oracle keeps dead buses as columns fixed at 0)."""
+
+    @staticmethod
+    def check_against_whole_grid(grid, z):
+        sol = RecourseSolver(grid).solve_topology(z)
+        assert sol.shed == pytest.approx(whole_pattern_shed(grid, z), abs=1e-9)
+        check_solution_invariants(grid, sol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_grids, st.data())
+    def test_matches_whole_grid_lp(self, spec, data):
+        grid, _ = generate_instance(spec)
+        z = np.array(data.draw(st.lists(st.booleans(), min_size=grid.n_buses,
+                                        max_size=grid.n_buses)), dtype=bool)
+        self.check_against_whole_grid(grid, z)
+
+    def test_split_patterns_with_binding_lines(self):
+        # Tight lines and about 40% of the buses down: many patterns
+        # split into several components that each need their own LP.
+        rng = np.random.default_rng(5)
+        split = 0
+        for trial in range(25):
+            grid, _ = generate_instance(InstanceSpec(
+                n_substations=int(rng.integers(3, 7)), n_flooded=1,
+                buses_per_substation=int(rng.integers(1, 4)),
+                topology=["ring", "tree", "grid"][trial % 3], n_scenarios=1,
+                capacity_slack=float(rng.uniform(0.05, 0.9)), seed=trial))
+            z = rng.random(grid.n_buses) < 0.6
+            self.check_against_whole_grid(grid, z)
+            split += components_with_lp(grid, z) >= 2
+        assert split >= 5
+
+    def test_component_without_generator_needs_no_lp(self, monkeypatch):
+        # Hub bus 0 holds the only generator; with it down, buses 1 and 2
+        # are isolated demand and serve nothing.
+        g = star_grid(n_flooded=2)
+        calls = []
+        real = lp.solve_lp
+        monkeypatch.setattr(lp, "solve_lp", lambda prob: calls.append(prob) or real(prob))
+        solver = RecourseSolver(g)
+        sol = solver.solve_topology(np.array([False, True, True]))
+        assert calls == []
+        assert sol.shed == g.total_demand
+        assert not sol.s.any() and not sol.g.any() and not sol.e.any()
+        check_solution_invariants(g, sol)
+        # Bus 2 down: one component {0, 1} with an LP, one isolated bus.
+        sol = solver.solve_topology(np.array([True, True, False]))
+        assert len(calls) == 1 and calls[0].n_vars == 3 * 2 + 1
+        assert sol.shed == pytest.approx(whole_pattern_shed(g, sol.z), abs=1e-9)
+        check_solution_invariants(g, sol)
+
+    def test_angle_reference_is_the_lowest_id_bus(self):
+        # Weak lines (B = 1), so the angle bounds bind. With bus 0 down,
+        # component {1, 2, 3} is the chain 2 - 1 - 3 with the generator in
+        # the middle (index 1) and its lowest id (0) at index 3, an end.
+        # Referenced there, the middle angle reaches pi and the far end
+        # -pi: pi + 2 pi is served. A middle reference would serve 2 pi.
+        subs = [Substation(i, True, 1.0, 1.0, 5) for i in range(4)]
+        buses = [Bus(3, 0, 5.0, 0.0, 0.0), Bus(2, 1, 0.0, 0.0, 30.0),
+                 Bus(1, 2, 10.0, 0.0, 0.0), Bus(0, 3, 10.0, 0.0, 0.0)]
+        branches = [Branch(0, 3, 1, 1.0, 100.0), Branch(1, 1, 2, 1.0, 100.0),
+                    Branch(2, 2, 0, 1.0, 100.0)]
+        g = GridInstance(subs, buses, branches, reference_bus=0, budget=10.0)
+        z = np.array([False, True, True, True])
+        sol = RecourseSolver(g).solve_topology(z)
+        assert sol.shed == pytest.approx(25.0 - 3.0 * math.pi, abs=1e-9)
+        assert sol.shed == pytest.approx(whole_pattern_shed(g, z), abs=1e-9)
+        assert sol.alpha[3] == 0.0
+        check_solution_invariants(g, sol)
+
+    def test_component_lp_is_shared_across_patterns(self, monkeypatch):
+        # Chain 0-1-2-3-4 with generators at both ends. Every pattern
+        # below has bus 2 down, so component {0, 1} is solved once.
+        subs = [Substation(i, True, 1.0, 1.0, 5) for i in range(5)]
+        buses = [Bus(i, i, 5.0, 0.0, 20.0 if i in (0, 4) else 0.0) for i in range(5)]
+        branches = [Branch(i, i, i + 1, 1000.0, 100.0) for i in range(4)]
+        g = GridInstance(subs, buses, branches, reference_bus=0, budget=10.0)
+        calls = []
+        real = lp.solve_lp
+        monkeypatch.setattr(lp, "solve_lp", lambda prob: calls.append(prob) or real(prob))
+        solver = RecourseSolver(g)
+        solved = []
+        for z, new_lps in (([1, 1, 0, 1, 1], 2),   # {0, 1} and {3, 4}
+                           ([1, 1, 0, 1, 0], 0),   # {3} has no generator
+                           ([1, 1, 0, 0, 1], 1)):  # {4} alone
+            before = len(calls)
+            sol = solver.solve_topology(np.array(z, dtype=bool))
+            assert len(calls) - before == new_lps, z
+            assert sol.shed == pytest.approx(whole_pattern_shed(g, sol.z), abs=1e-9)
+            check_solution_invariants(g, sol)
+            solved.append(sol)
+        assert all(np.array_equal(sol.s[:2], solved[0].s[:2]) for sol in solved)
 
 
 class TestSaaObjective:
@@ -294,6 +420,26 @@ class TestSolveFirstStage:
         with pytest.raises(ValidationError):
             solve_first_stage(TwoStageProblem(g, scen), budget=-1.0)
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    def test_non_finite_budget_rejected(self, budget):
+        g = star_grid()
+        problem = TwoStageProblem(g, uniform_scenarios([[1.0, 1.0]], g.flooded_ids))
+        with pytest.raises(ValidationError, match="budget"):
+            solve_first_stage(problem, budget=budget)
+        with pytest.raises(ValidationError, match="budget"):
+            greedy_first_stage(problem, budget=budget)
+        with pytest.raises(ValidationError, match="budget"):
+            budget_sweep(problem, [1.0, budget], problem.scenarios)
+
+    @pytest.mark.parametrize("node_budget", [0, -5, 2.5])
+    def test_node_budget_must_be_a_positive_integer(self, node_budget):
+        g = star_grid()
+        problem = TwoStageProblem(g, uniform_scenarios([[1.0, 1.0]], g.flooded_ids))
+        with pytest.raises(ValidationError, match="node_budget"):
+            solve_first_stage(problem, budget=4.0, node_budget=node_budget)
+        with pytest.raises(ValidationError, match="node_budget"):
+            budget_sweep(problem, [4.0], problem.scenarios, node_budget=node_budget)
+
     def test_node_budget_raises_resource_error(self):
         g = star_grid(n_flooded=3)
         scen = uniform_scenarios([[2.0, 2.0, 2.0]], g.flooded_ids)
@@ -404,21 +550,25 @@ class TestEvaluateOos:
         assert stats[0] is None
 
     def test_failing_lp_names_its_scenario(self, monkeypatch):
-        g = two_bus_grid(susceptance=10.0)
-        synth = uniform_scenarios([[0.0], [1.0], [0.0], [3.0], [2.0]], g.flooded_ids)
-        problem = TwoStageProblem(g, uniform_scenarios([[1.0]], g.flooded_ids))
+        # Hub bus 0 feeds demand buses 1 and 2; only scenario 3 floods
+        # substation 1, which leaves the LP of component {0, 2} alone.
+        g = star_grid(n_flooded=2)
+        synth = uniform_scenarios([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [3.0, 0.0], [2.0, 1.0]],
+                                  g.flooded_ids)
+        problem = TwoStageProblem(g, uniform_scenarios([[1.0, 1.0]], g.flooded_ids))
         solver = RecourseSolver(g)
         real = lp.solve_lp
+        whole_grid_columns = 3 * g.n_buses + len(g.branches)
 
         def fail_when_bus_down(prob):
             sol = real(prob)
-            if prob.upper[1] == 0.0:  # bus 1 is down: nothing to serve
+            if prob.n_vars < whole_grid_columns:  # bus 1 is down
                 return lp.LpSolution(lp.ITERATION_LIMIT, None, None, 0.0, sol.iterations)
             return sol
 
         monkeypatch.setattr(lp, "solve_lp", fail_when_bus_down)
         with pytest.raises(RecourseError) as info:
-            evaluate_oos(problem, HardeningPlan(np.array([2])), synth, solver=solver)
+            evaluate_oos(problem, HardeningPlan(np.array([2, 2])), synth, solver=solver)
         assert info.value.scenario_index == 3
         assert info.value.lp_status == lp.ITERATION_LIMIT
 

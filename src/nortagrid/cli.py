@@ -330,7 +330,16 @@ def _parse_budgets(args, grid):
     return budgets
 
 
+def _check_node_budget(args):
+    # Checked for every method: greedy ignores the node budget, but a
+    # bad value is still a bad command line.
+    if args.node_budget < 1:
+        raise ValidationError(f"--node-budget: node_budget must be an integer >= 1, "
+                              f"got {args.node_budget!r}")
+
+
 def cmd_solve(args):
+    _check_node_budget(args)
     grid = load_grid(args.grid)
     scen = load_scenarios(args.scenarios)
     problem = TwoStageProblem(grid, scen)
@@ -383,6 +392,7 @@ def cmd_evaluate(args):
 
 
 def cmd_sweep(args):
+    _check_node_budget(args)
     grid = load_grid(args.grid)
     scen = load_scenarios(args.scenarios)
     synth = load_scenarios(args.synthetic)

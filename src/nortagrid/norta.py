@@ -7,6 +7,14 @@ matrix; repair it to the nearest correlation matrix if the entrywise
 inversion left the PSD cone; factor it; sample by pushing correlated
 normals through the marginal quantiles.
 
+The pairwise bisections run in lockstep rounds: each round evaluates
+c at the rho_z every unfinished pair asked for, in one call. Every
+bracket starts from the same interval, so many pairs ask for the same
+rho_z, and each distinct rho_z's rotated quadrature nodes and their
+normal-score index (shared by all columns with the same sample count)
+are built once per round. Each column's first-axis half is built once
+per fit. The values are bit for bit those of matching each pair alone.
+
 Marginals only need a ``quantile(u)`` method accepting ndarrays, so
 analytic marginals can stand in for empirical ones (used heavily in the
 test-suite oracles).
@@ -27,6 +35,7 @@ from .stats import (
     check_correlation_matrix,
     normal_cdf,
     normal_quantile,
+    normal_score_thresholds,
     pearson_corr,
 )
 
@@ -45,6 +54,12 @@ __all__ = [
 ]
 
 _GH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_SQRT2 = math.sqrt(2.0)
+# Columns per gathered (_BLOCK, degree, degree) block: 128 KB at degree 64.
+# Larger blocks are no faster (most rhos need a few columns) and lift the
+# peak memory of a small fit, which sets the peak of a solve-bound study.
+_BLOCK = 4
+_I, _J = np.array([0]), np.array([1])  # the one pair of a two-column matcher
 
 
 @dataclass(frozen=True)
@@ -202,49 +217,175 @@ def _normal_score_values(marginal, z):
     return np.asarray(marginal.quantile(normal_cdf(z)), dtype=float)
 
 
-def _matching_function(marginal_i, marginal_j, degree):
-    """The map rho -> c(rho) of one pair, for rho in [-1, 1].
+class _Matcher:
+    """The correlation-matching function c(rho) of pairs of columns.
 
-    Everything that does not depend on rho (the first axis's values,
-    their moments and its degeneracy) is built here once, so a bisection
-    pays only for the second axis on each step.
+    One evaluation of one pair splits into parts that are each computed
+    only as often as their inputs change:
+
+    * per column, once: its first-axis values, their moments and its
+      degeneracy (the column as the pair's first member);
+    * per rho: the rotated second-axis nodes z2 and, for each
+      sample count n, their index into the n-sample normal-score
+      thresholds, which every empirical column of that count shares;
+    * per (rho, column): the second axis's conditional moments,
+      from a gather of the column's sorted values at that index, in
+      blocks of at most _BLOCK columns (one ``np.take`` and one batched
+      ``@ wn`` each);
+    * per pair: the cross moment and the final ratio.
+
+    Every float operation is the one a single pair evaluated alone
+    would perform, in the same order, so no value depends on the
+    batching. ``np.take`` keeps each gathered block C-contiguous: a
+    strided block (``values[:, idx]``) would give ``@ wn`` another
+    summation order.
     """
-    x, wn = _gh_nodes(degree)
-    sqrt2 = math.sqrt(2.0)
-    xi = _normal_score_values(marginal_i, sqrt2 * x)
-    flat_i = xi.max() == xi.min()
-    sw = float(wn.sum())
-    wx = wn * xi
-    ex = float(wx.sum()) * sw
-    ex2 = float((wx * xi).sum()) * sw
-    var_i = ex2 - ex * ex
 
-    def c(rho):
+    def __init__(self, marginals, degree):
+        x, wn = _gh_nodes(degree)
+        self.x, self.wn = x, wn
+        self.marginals = marginals
+        n = len(marginals)
+        xi = np.array([_normal_score_values(m, _SQRT2 * x) for m in marginals])
+        xi = xi.reshape(n, x.size)
+        sw = float(wn.sum())
+        self.flat = xi.max(axis=1) == xi.min(axis=1)
+        self.wx = wn * xi
+        self.ex = self.wx.sum(axis=1) * sw
+        self.var = (self.wx * xi).sum(axis=1) * sw - self.ex * self.ex
+        # Second axis: the sample count of each empirical column (0 for
+        # any other marginal) and its sorted values, one padded row each.
+        self.count = np.array([m.n if isinstance(m, EmpiricalMarginal) else 0
+                               for m in marginals], dtype=int)
+        self.kinds = sorted(set(self.count.tolist()))
+        self.values = np.zeros((n, int(self.count.max(initial=0))))
+        for col in np.flatnonzero(self.count):
+            self.values[col, :self.count[col]] = marginals[col].sorted_values
+
+    def c(self, rho, i, j):
+        """c(rho) of the pairs (i[k], j[k]), for rho in [-1, 1], as an
+        array; 0.0 for a pair with a degenerate marginal."""
+        x = self.x
         # The quadrature ignores mass beyond the node range; pull exact
         # +-1 inside the open interval where the rotation is well defined.
         rho = min(1.0 - 1e-12, max(-1.0 + 1e-12, rho))
         shat = math.sqrt(max(0.0, 1.0 - rho * rho))
         z2 = np.add.outer(rho * x, shat * x)
-        z2 *= sqrt2
-        yj = _normal_score_values(marginal_j, z2)
-        if flat_i or yj.max() == yj.min():
-            # Degenerate marginal: correlation is undefined, report 0
-            # rather than dividing rounding fuzz by rounding fuzz below.
-            return 0.0
+        z2 *= _SQRT2
+        # np.unique(j, return_inverse=True) without the sort.
+        used = np.zeros(self.count.size, dtype=bool)
+        used[j] = True
+        cols = np.flatnonzero(used)
+        pos = np.searchsorted(cols, j)
+        wy, ey, var_j, flat_j = self._second_axis(z2, cols)
+        exy = (self.wx[i] * wy[pos]).sum(axis=1)
+        ey, var_j, var_i = ey[pos], var_j[pos], self.var[i]
+        # Degenerate marginal: correlation is undefined, report 0 rather
+        # than dividing rounding fuzz by rounding fuzz.
+        ok = ~(self.flat[i] | flat_j[pos]) & (var_i > 0.0) & (var_j > 0.0)
+        out = np.zeros(i.size)
+        out[ok] = (exy[ok] - self.ex[i][ok] * ey[ok]) / np.sqrt(var_i[ok] * var_j[ok])
+        return np.minimum(1.0, np.maximum(-1.0, out))
+
+    def _moments(self, yj):
+        """E[Y | Z1 node] (still weighted by the first axis), E[Y] and
+        Var[Y] of second-axis values yj (..., degree, degree)."""
+        wn = self.wn
         # Collapse the independent axis first; one consistent double-sum
         # weighting for every moment keeps c(0) at zero to rounding.
-        wy = yj @ wn            # E[Y | Z1 node k]
-        wy2 = (yj * yj) @ wn
-        ey = float((wn * wy).sum())
-        ey2 = float((wn * wy2).sum())
-        exy = float((wx * wy).sum())
-        var_j = ey2 - ey * ey
-        if var_i <= 0.0 or var_j <= 0.0:
-            return 0.0
-        c = (exy - ex * ey) / math.sqrt(var_i * var_j)
-        return min(1.0, max(-1.0, c))
+        wy = yj @ wn
+        ey = (wn * wy).sum(axis=-1)
+        ey2 = (wn * ((yj * yj) @ wn)).sum(axis=-1)
+        return wy, ey, ey2 - ey * ey
 
-    return c
+    def _second_axis(self, z2, cols):
+        """The moments of each column in cols at the rotated nodes z2,
+        and whether its values there are all equal."""
+        wy = np.empty((cols.size, self.x.size))
+        ey = np.empty(cols.size)
+        var = np.empty(cols.size)
+        flat = np.empty(cols.size, dtype=bool)
+        counts = self.count[cols]
+        for n in self.kinds:
+            sel = np.flatnonzero(counts == n)
+            if sel.size == 0:
+                continue
+            if n == 0:
+                for s in sel.tolist():
+                    yj = _normal_score_values(self.marginals[cols[s]], z2)
+                    wy[s], ey[s], var[s] = self._moments(yj)
+                    flat[s] = yj.max() == yj.min()
+                continue
+            idx = np.searchsorted(normal_score_thresholds(n), z2, side="right")
+            values = self.values[cols[sel]]
+            # Sorted values: a column is flat at these nodes iff its
+            # values at the smallest and the largest index agree.
+            flat[sel] = values[:, idx.min()] == values[:, idx.max()]
+            for b in range(0, sel.size, _BLOCK):
+                block = sel[b:b + _BLOCK]
+                yj = np.take(values[b:b + _BLOCK], idx, axis=1)
+                wy[block], ey[block], var[block] = self._moments(yj)
+        return wy, ey, var, flat
+
+
+def _bisection(target, tol, max_iter):
+    """Bisection for c(rho_z) = target, written as a coroutine: it
+    yields each rho_z to evaluate, is sent c(rho_z), and returns the
+    RhoMatch. See solve_rho_z for the rules."""
+    lo, hi = -1.0 + 1e-6, 1.0 - 1e-6
+    c_lo = yield lo
+    c_hi = yield hi
+    if c_hi - c_lo <= 1e-12:
+        # Flat matching function (degenerate marginal): rho_z is moot.
+        return RhoMatch(0.0, abs(target), False)
+    if target <= c_lo:
+        return RhoMatch(lo, abs(c_lo - target), target < c_lo)
+    if target >= c_hi:
+        return RhoMatch(hi, abs(c_hi - target), target > c_hi)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        c_mid = yield mid
+        if abs(c_mid - target) <= tol:
+            return RhoMatch(mid, abs(c_mid - target), False)
+        if c_mid < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-9:
+            # Discrete marginals step over the target; the bracket has
+            # collapsed, so more halving cannot improve the residual.
+            break
+    mid = 0.5 * (lo + hi)
+    c_mid = yield mid
+    return RhoMatch(mid, abs(c_mid - target), False)
+
+
+def _match_pairs(matcher, i, j, targets, tol, max_iter):
+    """Every pair's bisection, run in lockstep rounds; one RhoMatch per pair.
+
+    A round sends each unfinished bisection the c of the rho_z it asked
+    for. Pairs waiting on the same rho_z (all brackets start alike, so
+    many do) are evaluated together, sharing that rho's half.
+    """
+    runs = [_bisection(t, tol, max_iter) for t in targets]
+    out = [None] * len(runs)
+    live = np.arange(len(runs))
+    rho = np.array([next(run) for run in runs])
+    while live.size:
+        order = np.argsort(rho, kind="stable")
+        live, rho = live[order], rho[order]
+        starts = np.flatnonzero(np.r_[True, rho[1:] != rho[:-1]]).tolist() + [live.size]
+        next_k, next_rho = [], []
+        for a, b in zip(starts[:-1], starts[1:]):
+            ks = live[a:b]
+            for k, c in zip(ks.tolist(), matcher.c(float(rho[a]), i[ks], j[ks]).tolist()):
+                try:
+                    next_rho.append(runs[k].send(c))
+                    next_k.append(k)
+                except StopIteration as done:
+                    out[k] = done.value
+        live, rho = np.array(next_k, dtype=int), np.array(next_rho)
+    return out
 
 
 def c_of_rho(marginal_i, marginal_j, rho_z, degree=64):
@@ -258,12 +399,14 @@ def c_of_rho(marginal_i, marginal_j, rho_z, degree=64):
     bisection in solve_rho_z. Empirical marginals are evaluated through
     their normal-score thresholds, bit for bit equal to the generic
     quantile(normal_cdf(.)) path that analytic marginals take. Returns
-    0.0 for a degenerate marginal.
+    0.0 for a degenerate marginal. This is the evaluator fit and
+    solve_rho_z use, with a batch of one pair.
     """
+    _check_fit_options(degree=degree)
     rho = float(rho_z)
     if not -1.0 <= rho <= 1.0:
         raise ValidationError("rho_z must lie in [-1, 1]")
-    return _matching_function(marginal_i, marginal_j, degree)(rho)
+    return float(_Matcher([marginal_i, marginal_j], degree).c(rho, _I, _J)[0])
 
 
 def solve_rho_z(marginal_i, marginal_j, rho_x_target, *, tol=1e-4,
@@ -274,39 +417,21 @@ def solve_rho_z(marginal_i, marginal_j, rho_x_target, *, tol=1e-4,
     safe. Targets outside the attainable range clamp to the nearer
     endpoint (clamped=True). Discrete marginals make c step-like, so
     after max_iter the midpoint of the final bracket is returned with
-    its residual rather than failing. Every step evaluates the same
-    c_of_rho values, through one matching function built per pair.
+    its residual rather than failing. tol must be finite and >= 0,
+    max_iter and degree integers >= 1.
+
+    This is fit's bisection for a single pair. fit runs all pairs'
+    bisections in lockstep rounds; pairs that ask for the same rho_z in
+    a round share the rotated nodes and their normal-score index, and
+    every column's first-axis half is built once. Each pair sees the
+    same sequence of c values either way.
     """
+    _check_fit_options(degree=degree, tol=tol, max_iter=max_iter)
     target = float(rho_x_target)
     if not -1.0 <= target <= 1.0:
         raise ValidationError("target correlation must lie in [-1, 1]")
-    c_of = _matching_function(marginal_i, marginal_j, degree)
-    lo, hi = -1.0 + 1e-6, 1.0 - 1e-6
-    c_lo = c_of(lo)
-    c_hi = c_of(hi)
-    if c_hi - c_lo <= 1e-12:
-        # Flat matching function (degenerate marginal): rho_z is moot.
-        return RhoMatch(0.0, abs(target), False)
-    if target <= c_lo:
-        return RhoMatch(lo, abs(c_lo - target), target < c_lo)
-    if target >= c_hi:
-        return RhoMatch(hi, abs(c_hi - target), target > c_hi)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        c_mid = c_of(mid)
-        if abs(c_mid - target) <= tol:
-            return RhoMatch(mid, abs(c_mid - target), False)
-        if c_mid < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-9:
-            # Discrete marginals step over the target; the bracket has
-            # collapsed, so more halving cannot improve the residual.
-            break
-    mid = 0.5 * (lo + hi)
-    c_mid = c_of(mid)
-    return RhoMatch(mid, abs(c_mid - target), False)
+    return _match_pairs(_Matcher([marginal_i, marginal_j], degree), _I, _J, [target],
+                        tol, max_iter)[0]
 
 
 def nearest_correlation(a, *, tol=1e-9, max_iter=1000):
@@ -362,12 +487,16 @@ def _cholesky_with_jitter(y):
     raise NumericalError("correlation matrix is not factorable even with jitter")
 
 
-def _check_fit_options(degree, match_tol, bisect_max_iter):
-    for name, value in (("degree", degree), ("bisect_max_iter", bisect_max_iter)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
+def _check_fit_options(**options):
+    """Reject a tolerance (a keyword ending in ``tol``) that is negative
+    or not finite, and any other option that is not an integer >= 1,
+    naming the keyword."""
+    for name, value in options.items():
+        if name.endswith("tol"):
+            if not 0.0 <= value < math.inf:  # also rejects nan
+                raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
+        elif not isinstance(value, (int, np.integer)) or value < 1:
             raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-    if not 0.0 <= match_tol < math.inf:  # also rejects nan
-        raise ValidationError(f"match_tol must be a finite number >= 0, got {match_tol!r}")
 
 
 def fit(s: ScenarioSet, *, degree=64, match_tol=1e-4, bisect_max_iter=200) -> NortaModel:
@@ -384,18 +513,18 @@ def fit(s: ScenarioSet, *, degree=64, match_tol=1e-4, bisect_max_iter=200) -> No
     bisect_max_iter : int
         Bisection steps per pair (>= 1).
     """
-    _check_fit_options(degree, match_tol, bisect_max_iter)
+    _check_fit_options(degree=degree, match_tol=match_tol, bisect_max_iter=bisect_max_iter)
     marginals, sigma_x = estimate_inputs(s)
     n = len(marginals)
+    i, j = np.triu_indices(n, k=1)
+    targets = sigma_x[i, j].tolist()
+    matches = _match_pairs(_Matcher(marginals, degree), i, j, targets, match_tol,
+                           bisect_max_iter)
     sigma_z = np.eye(n)
     report = FitReport()
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = solve_rho_z(marginals[i], marginals[j], sigma_x[i, j], tol=match_tol,
-                            max_iter=bisect_max_iter, degree=degree)
-            sigma_z[i, j] = sigma_z[j, i] = m.rho_z
-            report.pairs.append(PairMatch(i, j, float(sigma_x[i, j]), m.rho_z,
-                                          m.residual, m.clamped))
+    for a, b, target, m in zip(i.tolist(), j.tolist(), targets, matches):
+        sigma_z[a, b] = sigma_z[b, a] = m.rho_z
+        report.pairs.append(PairMatch(a, b, target, m.rho_z, m.residual, m.clamped))
     y = nearest_correlation(sigma_z)
     report.repair_distance = float(np.linalg.norm(sigma_z - y))
     chol, jitter = _cholesky_with_jitter(y)

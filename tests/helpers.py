@@ -2,8 +2,9 @@
 
 Oracles here recompute answers from first principles (exhaustive plan
 enumeration, LP vertex enumeration, big-M feasibility, one recourse LP
-over the whole grid, the per-row simplex ratio test) so that a bug in
-the library cannot hide behind shared code paths.
+over the whole grid, the per-row simplex ratio test, one correlation
+match per pair) so that a bug in the library cannot hide behind shared
+code paths.
 """
 import itertools
 import math
@@ -22,8 +23,10 @@ from nortagrid.grid import (
 )
 from nortagrid import lp
 from nortagrid.grid import _components_idx
+from nortagrid import norta
 from nortagrid.lp import LpProblem
-from nortagrid.norta import ScenarioSet
+from nortagrid.norta import FitReport, PairMatch, RhoMatch, ScenarioSet
+from nortagrid.stats import EmpiricalMarginal, normal_cdf
 from nortagrid.twostage import RecourseSolver, TwoStageProblem
 
 
@@ -336,3 +339,91 @@ class LoopRatioSimplex(lp._Simplex):
                 leave, hit_lower = i, lower_side
                 self.ties += 1
         return best_t, leave, hit_lower, w
+
+
+def _per_pair_matching_function(marginal_i, marginal_j, degree):
+    """One pair's map rho -> c(rho), evaluated alone: the first axis's
+    half is built per pair and every rho rebuilds the second axis."""
+    x, wn = norta._gh_nodes(degree)
+    sqrt2 = math.sqrt(2.0)
+
+    def values(marginal, z):
+        if isinstance(marginal, EmpiricalMarginal):
+            return marginal.quantile_of_normal(z)
+        return np.asarray(marginal.quantile(normal_cdf(z)), dtype=float)
+
+    xi = values(marginal_i, sqrt2 * x)
+    flat_i = xi.max() == xi.min()
+    sw = float(wn.sum())
+    wx = wn * xi
+    ex = float(wx.sum()) * sw
+    ex2 = float((wx * xi).sum()) * sw
+    var_i = ex2 - ex * ex
+
+    def c(rho):
+        rho = min(1.0 - 1e-12, max(-1.0 + 1e-12, rho))
+        shat = math.sqrt(max(0.0, 1.0 - rho * rho))
+        z2 = np.add.outer(rho * x, shat * x)
+        z2 *= sqrt2
+        yj = values(marginal_j, z2)
+        if flat_i or yj.max() == yj.min():
+            return 0.0
+        wy = yj @ wn
+        wy2 = (yj * yj) @ wn
+        ey = float((wn * wy).sum())
+        ey2 = float((wn * wy2).sum())
+        exy = float((wx * wy).sum())
+        var_j = ey2 - ey * ey
+        if var_i <= 0.0 or var_j <= 0.0:
+            return 0.0
+        c = (exy - ex * ey) / math.sqrt(var_i * var_j)
+        return min(1.0, max(-1.0, c))
+
+    return c
+
+
+def per_pair_rho_z(marginal_i, marginal_j, target, *, tol, max_iter, degree):
+    """One pair's bisection, run to completion before the next pair."""
+    c_of = _per_pair_matching_function(marginal_i, marginal_j, degree)
+    lo, hi = -1.0 + 1e-6, 1.0 - 1e-6
+    c_lo = c_of(lo)
+    c_hi = c_of(hi)
+    if c_hi - c_lo <= 1e-12:
+        return RhoMatch(0.0, abs(target), False)
+    if target <= c_lo:
+        return RhoMatch(lo, abs(c_lo - target), target < c_lo)
+    if target >= c_hi:
+        return RhoMatch(hi, abs(c_hi - target), target > c_hi)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        c_mid = c_of(mid)
+        if abs(c_mid - target) <= tol:
+            return RhoMatch(mid, abs(c_mid - target), False)
+        if c_mid < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-9:
+            break
+    mid = 0.5 * (lo + hi)
+    c_mid = c_of(mid)
+    return RhoMatch(mid, abs(c_mid - target), False)
+
+
+def per_pair_fit(s, *, degree=64, match_tol=1e-4, bisect_max_iter=200):
+    """``norta.fit``'s sigma_z and report, matching one pair at a time."""
+    marginals, sigma_x = norta.estimate_inputs(s)
+    n = len(marginals)
+    sigma_z = np.eye(n)
+    report = FitReport()
+    for i in range(n):
+        for j in range(i + 1, n):
+            target = float(sigma_x[i, j])
+            m = per_pair_rho_z(marginals[i], marginals[j], target, tol=match_tol,
+                               max_iter=bisect_max_iter, degree=degree)
+            sigma_z[i, j] = sigma_z[j, i] = m.rho_z
+            report.pairs.append(PairMatch(i, j, target, m.rho_z, m.residual, m.clamped))
+    y = norta.nearest_correlation(sigma_z)
+    report.repair_distance = float(np.linalg.norm(sigma_z - y))
+    report.chol_jitter = norta._cholesky_with_jitter(y)[1]
+    return sigma_z, report

@@ -233,6 +233,27 @@ class TestCliErrors:
         assert "node_budget" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["exact", "greedy"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_node_budget_is_checked_for_every_method(self, workdir, tmp_path, capsys,
+                                                     method, value):
+        # greedy takes no node budget, and used to exit 0 and write plans.
+        out = tmp_path / "p.json"
+        assert run("solve", workdir / "grid.json", workdir / "scen.csv", "--method", method,
+                   "--budget", 4, "--node-budget", value, "--out", out) == 2
+        assert "--node-budget" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["exact", "greedy"])
+    def test_non_integer_node_budget(self, workdir, tmp_path, capsys, method):
+        out = tmp_path / "p.json"
+        with pytest.raises(SystemExit) as exc:
+            run("solve", workdir / "grid.json", workdir / "scen.csv", "--method", method,
+                "--node-budget", "2.5", "--out", out)
+        assert exc.value.code == 2
+        assert "--node-budget" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_node_budget_exhaustion(self, workdir, tmp_path, capsys):
         code = run("solve", workdir / "grid.json", workdir / "scen.csv",
                    "--budget", 4, "--node-budget", 1,
@@ -287,6 +308,15 @@ class TestCliBehaviour:
         run("validate", workdir / "scen.csv", workdir / "scen.csv",
             "--out", tmp_path / "v.json", "--quiet")
         assert capsys.readouterr().out == ""
+
+    def test_quiet_fit_and_generate_leave_process_stdout_empty(self, workdir, tmp_path,
+                                                                capfd):
+        # capfd reads file descriptor 1, so a write that bypasses
+        # sys.stdout (a C extension, a subprocess) would show here too.
+        assert run("fit", workdir / "scen.csv", "--out", tmp_path / "m.json", "--quiet") == 0
+        assert run("generate", tmp_path / "m.json", "--count", 40,
+                   "--out", tmp_path / "s.csv", "--quiet") == 0
+        assert capfd.readouterr().out == ""
 
     def test_progress_lines_by_default(self, workdir, tmp_path, capsys):
         run("validate", workdir / "scen.csv", workdir / "scen.csv",

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ar1_height_panel
+from helpers import ar1_height_panel, per_pair_fit
 from nortagrid import norta
 from nortagrid.errors import ValidationError
 from nortagrid.norta import (
@@ -126,6 +126,11 @@ class TestCOfRho:
         with pytest.raises(ValidationError):
             c_of_rho(b, b, 1.0001)
 
+    @pytest.mark.parametrize("degree", [0, -1, 2.5])
+    def test_rejects_bad_degree(self, degree):
+        with pytest.raises(ValidationError, match="degree"):
+            c_of_rho(bernoulli(), bernoulli(), 0.5, degree=degree)
+
     def test_higher_degree_refines_the_bernoulli_answer(self):
         b = bernoulli()
         exact = 2.0 / np.pi * np.arcsin(0.6)
@@ -189,6 +194,16 @@ class TestSolveRhoZ:
         with pytest.raises(ValidationError):
             solve_rho_z(bernoulli(), bernoulli(), 1.2)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_iter", 0), ("max_iter", -2), ("max_iter", 1.5),
+        ("tol", math.nan), ("tol", -1e-4), ("tol", math.inf),
+        ("degree", 0), ("degree", 2.5),
+    ])
+    def test_rejects_bad_options(self, field, value):
+        # max_iter=0 used to return rho_z = 0.0 with residual |target|.
+        with pytest.raises(ValidationError, match=field):
+            solve_rho_z(bernoulli(), bernoulli(), 0.5, **{field: value})
+
 
 class TestThresholdPathOracle:
     """Empirical marginals skip normal_cdf through their normal-score
@@ -222,6 +237,70 @@ class TestThresholdPathOracle:
         assert np.array_equal(fast.sigma_z, slow.sigma_z)
         assert np.array_equal(fast.chol, slow.chol)
         assert fast.report.to_dict() == slow.report.to_dict()
+
+
+class TestLockstepAgainstPerPair:
+    """fit matches all pairs in lockstep rounds; helpers.per_pair_fit
+    matches one pair at a time, each evaluation on its own. Every
+    sigma_z entry and every report field must agree exactly."""
+
+    @staticmethod
+    def assert_same_fit(s, **options):
+        model = fit(s, **options)
+        sigma_z, report = per_pair_fit(s, **options)
+        assert np.array_equal(model.sigma_z, sigma_z)
+        assert model.report.to_dict() == report.to_dict()
+        return model
+
+    def test_acceptance_panel(self):
+        self.assert_same_fit(ar1_height_panel())
+
+    @pytest.mark.parametrize("match_tol, bisect_max_iter", [(0.0, 1), (0.0, 3), (1e-4, 2),
+                                                            (0.0, 200)])
+    def test_clamps_ties_and_a_constant_column(self, match_tol, bisect_max_iter):
+        rng = np.random.default_rng(31)
+        a = rng.integers(0, 4, size=12).astype(float)
+        cols = [a, a, 3.0 - a, np.full(12, 2.0), rng.integers(0, 3, size=12), (a > 1) * 5.0]
+        s = ScenarioSet.with_uniform_probs(np.column_stack(cols))
+        model = self.assert_same_fit(s, match_tol=match_tol, bisect_max_iter=bisect_max_iter)
+        assert model.report.clamp_count >= 2  # the copy and the reflection
+
+    def test_mixed_marginal_kinds(self, monkeypatch):
+        # Empirical columns of two sample counts next to quantile-only
+        # ducks: one matcher holds every kind of second axis.
+        rng = np.random.default_rng(12)
+        s = ScenarioSet.with_uniform_probs(rng.integers(0, 5, size=(9, 5)))
+
+        def mixed_inputs(s):
+            marginals, sigma = estimate_inputs(s)
+            marginals[1] = QuantileOnly(marginals[1])
+            marginals[3] = EmpiricalMarginal(np.repeat(marginals[3].sorted_values, 2))
+            marginals[4] = NormalMarginal()
+            return marginals, sigma
+
+        monkeypatch.setattr(norta, "estimate_inputs", mixed_inputs)
+        self.assert_same_fit(s, degree=8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_panels(self, data):
+        k = data.draw(st.integers(2, 20), label="k")
+        base = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3),
+                                  min_size=k, max_size=k), label="base")
+        cols = list(np.array(base, dtype=float).T)
+        if data.draw(st.booleans(), label="copy"):
+            cols.append(cols[0].copy())  # target 1: clamps at the top
+        if data.draw(st.booleans(), label="reflect"):
+            cols.append(4.0 - cols[1])  # negative targets, -1 clamps at the bottom
+        if data.draw(st.booleans(), label="constant"):
+            cols.append(np.full(k, 3.0))
+        s = ScenarioSet.with_uniform_probs(np.column_stack(cols))
+        self.assert_same_fit(
+            s,
+            degree=data.draw(st.sampled_from([8, 64]), label="degree"),
+            match_tol=data.draw(st.sampled_from([0.0, 1e-4, 0.05]), label="match_tol"),
+            bisect_max_iter=data.draw(st.sampled_from([1, 2, 3, 200]), label="max_iter"),
+        )
 
 
 small_samples = st.lists(st.integers(0, 6), min_size=2, max_size=20)

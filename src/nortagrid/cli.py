@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, norta
 from .errors import NumericalError, ResourceLimitError, ValidationError
-from .grid import (GridInstance, HardeningPlan, InstanceSpec, generate_instance,
+from .grid import (GridInstance, HardeningPlan, InstanceSpec, _read_json, generate_instance,
                    load_grid, load_scenarios, save_grid, save_scenarios)
 from .norta import FitReport, NortaModel, PairMatch, ScenarioSet, estimate_inputs
 from .stats import EmpiricalMarginal, emd, spread
@@ -77,19 +77,6 @@ def _write_json(path, payload, manifest):
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     _write_sidecar(path, manifest)
-
-
-def _read_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
-    return data
 
 
 def _say(args, msg):
@@ -179,14 +166,14 @@ def _budget_labels(reports):
     return labels
 
 
+def _stat_table(reports):
+    """STAT_ROWS name -> one float (None when missing) per report."""
+    values = [rep.stat_values() for rep in reports]
+    return {name: [None if row[k] is None else float(row[k]) for row in values]
+            for k, name in enumerate(STAT_ROWS)}
+
+
 def _report_payload(reports):
-    table = {}
-    for row_i, name in enumerate(STAT_ROWS):
-        vals = []
-        for rep in reports:
-            v = rep.stat_values()[row_i]
-            vals.append(float(v) if v is not None else None)
-        table[name] = vals
     return {
         "format": "nortagrid-report",
         "m": int(reports[0].m),
@@ -194,7 +181,7 @@ def _report_payload(reports):
         "budgets": [rep.budget for rep in reports],
         "quantile_method": "linear",
         "std_denominator": "M-1",
-        "table": table,
+        "table": _stat_table(reports),
         "columns": [rep.to_dict() for rep in reports],
     }
 
@@ -204,12 +191,8 @@ def _write_report_csv(path, reports, manifest):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["statistic"] + labels)
-        for row_i, name in enumerate(STAT_ROWS):
-            cells = [name]
-            for rep in reports:
-                v = rep.stat_values()[row_i]
-                cells.append("" if v is None else repr(float(v)))
-            writer.writerow(cells)
+        for name, row in _stat_table(reports).items():
+            writer.writerow([name] + ["" if v is None else repr(v) for v in row])
     _write_sidecar(path, manifest)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -97,15 +97,15 @@ class GridInstance:
         for s in self.substations:
             if s.max_height < 0 or s.max_height != int(s.max_height):
                 raise ValidationError(f"substation {s.id}: max_height must be a non-negative integer")
-            if s.fixed_cost < 0 or s.var_cost < 0:
-                raise ValidationError(f"substation {s.id}: hardening costs must be non-negative")
+            if not (0 <= s.fixed_cost < math.inf and 0 <= s.var_cost < math.inf):
+                raise ValidationError(f"substation {s.id}: hardening costs must be finite and >= 0")
         for b in self.buses:
             if b.substation_id not in sub_set:
                 raise ValidationError(f"bus {b.id}: unknown substation {b.substation_id}")
-            if b.demand < 0:
-                raise ValidationError(f"bus {b.id}: demand must be non-negative")
-            if not (0 <= b.gen_min <= b.gen_max):
-                raise ValidationError(f"bus {b.id}: need 0 <= gen_min <= gen_max")
+            if not 0 <= b.demand < math.inf:  # also rejects nan
+                raise ValidationError(f"bus {b.id}: demand must be a finite number >= 0")
+            if not (0 <= b.gen_min <= b.gen_max < math.inf):
+                raise ValidationError(f"bus {b.id}: need 0 <= gen_min <= gen_max < inf")
             if b.gen_min != 0:
                 # The recourse model couples generator commitment to bus
                 # survival through u = z, which is only valid when the
@@ -116,10 +116,10 @@ class GridInstance:
                 raise ValidationError(f"branch {r.id}: endpoint is not a known bus")
             if r.head == r.tail:
                 raise ValidationError(f"branch {r.id}: self-loop")
-            if not r.capacity > 0:
-                raise ValidationError(f"branch {r.id}: capacity must be positive")
-            if not r.susceptance > 0:
-                raise ValidationError(f"branch {r.id}: susceptance must be positive")
+            if not 0 < r.capacity < math.inf:
+                raise ValidationError(f"branch {r.id}: capacity must be finite and positive")
+            if not 0 < r.susceptance < math.inf:
+                raise ValidationError(f"branch {r.id}: susceptance must be finite and positive")
         if self.reference_bus not in bus_set:
             raise ValidationError(f"reference bus {self.reference_bus} is not a known bus")
         if not 0 <= self.budget < math.inf:  # also rejects nan
@@ -170,21 +170,49 @@ class GridInstance:
 
     @classmethod
     def from_dict(cls, data):
+        """A grid from its JSON data. Ids, endpoints and heights must be
+        JSON integers, flags JSON booleans and the rest finite numbers;
+        a value of another type is rejected, naming its entry and field."""
+        def rows(section, fields):
+            return [[_field(d, key, kind, f"{section}[{k}]") for key, kind in fields]
+                    for k, d in enumerate(data[section])]
         try:
-            subs = [Substation(int(d["id"]), bool(d["flooded_flag"]), float(d["fixed_cost"]),
-                               float(d["var_cost"]), int(d["max_height"]))
-                    for d in data["substations"]]
-            buses = [Bus(int(d["id"]), int(d["substation_id"]), float(d["demand"]),
-                         float(d["gen_min"]), float(d["gen_max"]))
-                     for d in data["buses"]]
-            branches = [Branch(int(d["id"]), int(d["head"]), int(d["tail"]),
-                               float(d["susceptance"]), float(d["capacity"]))
-                        for d in data["branches"]]
-            ref = int(data["reference_bus"])
-            budget = float(data["budget"])
-        except (KeyError, TypeError, ValueError) as exc:
+            subs = [Substation(*r) for r in rows("substations", (
+                ("id", int), ("flooded_flag", bool), ("fixed_cost", float),
+                ("var_cost", float), ("max_height", int)))]
+            buses = [Bus(*r) for r in rows("buses", (
+                ("id", int), ("substation_id", int), ("demand", float),
+                ("gen_min", float), ("gen_max", float)))]
+            branches = [Branch(*r) for r in rows("branches", (
+                ("id", int), ("head", int), ("tail", int), ("susceptance", float),
+                ("capacity", float)))]
+            ref = _field(data, "reference_bus", int, "grid")
+            budget = _field(data, "budget", float, "grid")
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed grid data: {exc}") from exc
         return cls(subs, buses, branches, ref, budget)
+
+
+def _is_int(v):
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+_KINDS = {int: (_is_int, "an integer"), float: (_is_real, "a finite number"),
+          bool: (lambda v: isinstance(v, bool), "true or false")}
+
+
+def _field(entry, key, kind, where):
+    """entry[key] as kind (int, float or bool), if its value is one."""
+    ok, what = _KINDS[kind]
+    value = entry[key]
+    if not ok(value):
+        raise ValidationError(f"{where}: {key} must be {what}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -314,42 +342,31 @@ class InstanceSpec:
     corr_length: float | None = None
 
     def validate(self):
-        if self.n_substations < 1:
-            raise ValidationError("n_substations must be at least 1")
-        if not 0 <= self.n_flooded <= self.n_substations:
-            raise ValidationError("n_flooded must lie in [0, n_substations]")
-        if self.buses_per_substation < 1:
-            raise ValidationError("buses_per_substation must be at least 1")
-        if self.topology not in ("ring", "tree", "grid"):
-            raise ValidationError(f"unknown topology '{self.topology}'")
-        if self.n_scenarios < 1:
-            raise ValidationError("n_scenarios must be at least 1")
-        if self.max_height < 1:
-            raise ValidationError("max_height must be at least 1")
-        if self.budget < 0:
-            raise ValidationError("budget must be non-negative")
-        if not 0.0 < self.demand_low <= self.demand_high:
-            raise ValidationError("need 0 < demand_low <= demand_high")
-        if not 0.0 < self.capacity_slack:
-            raise ValidationError("capacity_slack must be positive")
+        """Check every field's type and range, naming the first bad one."""
+        def need(name, ok, what):
+            if not ok:
+                raise ValidationError(f"{name} must be {what}, got {getattr(self, name)!r}")
+        for name in ("n_substations", "buses_per_substation", "n_scenarios", "max_height"):
+            value = getattr(self, name)
+            need(name, _is_int(value) and value >= 1, "an integer >= 1")
+        need("n_flooded", _is_int(self.n_flooded) and 0 <= self.n_flooded <= self.n_substations,
+             "an integer in [0, n_substations]")
+        need("topology", self.topology in ("ring", "tree", "grid"), "'ring', 'tree' or 'grid'")
+        need("seed", _is_int(self.seed) and self.seed >= 0, "an integer >= 0")
+        low, high, fraction = self.demand_low, self.demand_high, self.gen_bus_fraction
+        need("budget", _is_real(self.budget) and self.budget >= 0, "a finite number >= 0")
+        need("demand_low", _is_real(low) and low > 0, "a finite number > 0")
+        need("demand_high", _is_real(high) and high >= low, "a finite number >= demand_low")
+        need("gen_bus_fraction", _is_real(fraction) and 0 <= fraction <= 1, "a number in [0, 1]")
+        need("capacity_slack", _is_real(self.capacity_slack) and self.capacity_slack > 0,
+             "a finite number > 0")
+        ell = self.corr_length
+        need("corr_length", ell is None or (_is_real(ell) and ell > 0),
+             "null or a finite number > 0")
         return self
 
     def to_dict(self):
-        return {
-            "n_substations": self.n_substations,
-            "n_flooded": self.n_flooded,
-            "buses_per_substation": self.buses_per_substation,
-            "topology": self.topology,
-            "n_scenarios": self.n_scenarios,
-            "max_height": self.max_height,
-            "budget": self.budget,
-            "seed": self.seed,
-            "demand_low": self.demand_low,
-            "demand_high": self.demand_high,
-            "gen_bus_fraction": self.gen_bus_fraction,
-            "capacity_slack": self.capacity_slack,
-            "corr_length": self.corr_length,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data):
@@ -472,17 +489,22 @@ def save_grid(grid: GridInstance, path, extra=None):
         fh.write("\n")
 
 
-def load_grid(path) -> GridInstance:
+def _read_json(path):
+    """The JSON object in the file at path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ValidationError(f"cannot read grid file {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object")
-    return GridInstance.from_dict(data)
+    return data
+
+
+def load_grid(path) -> GridInstance:
+    return GridInstance.from_dict(_read_json(path))
 
 
 _PROB_HEADER = "#prob"
@@ -540,7 +562,7 @@ def load_scenarios(path) -> ScenarioSet:
             except ValueError as exc:
                 raise ValidationError(
                     f"{path} line {i + 2}, column {j + 1}: cannot parse {row[j]!r}") from exc
-            if v < 0 or v != int(v):
+            if not 0 <= v < math.inf or v != int(v):  # also rejects nan
                 raise ValidationError(
                     f"{path} line {i + 2}, column {j + 1}: heights must be non-negative integers")
             heights[i, j] = v

@@ -7,8 +7,8 @@ matrix; repair it to the nearest correlation matrix if the entrywise
 inversion left the PSD cone; factor it; sample by pushing correlated
 normals through the marginal quantiles.
 
-The pairwise bisections run in lockstep rounds: each round evaluates
-c at the rho_z every unfinished pair asked for, in one call. Every
+The pairwise bisections run together as array code: each round
+evaluates c at every unfinished pair's midpoint in one call. Every
 bracket starts from the same interval, so many pairs ask for the same
 rho_z, and each distinct rho_z's rotated quadrature nodes and their
 normal-score index (shared by all columns with the same sample count)
@@ -211,10 +211,12 @@ def _gh_nodes(degree):
 
 
 def _normal_score_values(marginal, z):
-    """marginal.quantile(normal_cdf(z)); empirical marginals skip the CDF."""
+    """marginal.quantile(normal_cdf(z)), the level kept above 0 by the
+    smallest normal double; empirical marginals skip the CDF."""
     if isinstance(marginal, EmpiricalMarginal):
         return marginal.quantile_of_normal(z)
-    return np.asarray(marginal.quantile(normal_cdf(z)), dtype=float)
+    u = np.maximum(normal_cdf(z), np.finfo(float).tiny)
+    return np.asarray(marginal.quantile(u), dtype=float)
 
 
 class _Matcher:
@@ -263,8 +265,20 @@ class _Matcher:
             self.values[col, :self.count[col]] = marginals[col].sorted_values
 
     def c(self, rho, i, j):
-        """c(rho) of the pairs (i[k], j[k]), for rho in [-1, 1], as an
-        array; 0.0 for a pair with a degenerate marginal."""
+        """c(rho[k]) of the pairs (i[k], j[k]), for rho in [-1, 1], as an
+        array; 0.0 for a pair with a degenerate marginal. Pairs at the
+        same rho are evaluated together and share its half."""
+        out = np.empty(rho.size)
+        if rho.size == 0:  # np.split of an empty order still gives one group
+            return out
+        order = np.argsort(rho, kind="stable")
+        r = rho[order]
+        for group in np.split(order, np.flatnonzero(r[1:] != r[:-1]) + 1):
+            out[group] = self._c_at(float(rho[group[0]]), i[group], j[group])
+        return out
+
+    def _c_at(self, rho, i, j):
+        """c(rho) of the pairs (i[k], j[k]) at one rho."""
         x = self.x
         # The quadrature ignores mass beyond the node range; pull exact
         # +-1 inside the open interval where the rotation is well defined.
@@ -328,64 +342,44 @@ class _Matcher:
         return wy, ey, var, flat
 
 
-def _bisection(target, tol, max_iter):
-    """Bisection for c(rho_z) = target, written as a coroutine: it
-    yields each rho_z to evaluate, is sent c(rho_z), and returns the
-    RhoMatch. See solve_rho_z for the rules."""
-    lo, hi = -1.0 + 1e-6, 1.0 - 1e-6
-    c_lo = yield lo
-    c_hi = yield hi
-    if c_hi - c_lo <= 1e-12:
-        # Flat matching function (degenerate marginal): rho_z is moot.
-        return RhoMatch(0.0, abs(target), False)
-    if target <= c_lo:
-        return RhoMatch(lo, abs(c_lo - target), target < c_lo)
-    if target >= c_hi:
-        return RhoMatch(hi, abs(c_hi - target), target > c_hi)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        c_mid = yield mid
-        if abs(c_mid - target) <= tol:
-            return RhoMatch(mid, abs(c_mid - target), False)
-        if c_mid < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-9:
-            # Discrete marginals step over the target; the bracket has
-            # collapsed, so more halving cannot improve the residual.
-            break
-    mid = 0.5 * (lo + hi)
-    c_mid = yield mid
-    return RhoMatch(mid, abs(c_mid - target), False)
-
-
 def _match_pairs(matcher, i, j, targets, tol, max_iter):
-    """Every pair's bisection, run in lockstep rounds; one RhoMatch per pair.
+    """Every pair's bisection for c(rho_z) = target, as array code.
 
-    A round sends each unfinished bisection the c of the rho_z it asked
-    for. Pairs waiting on the same rho_z (all brackets start alike, so
-    many do) are evaluated together, sharing that rho's half.
+    Returns the arrays (rho_z, residual, clamped), one entry per pair.
+    Each round evaluates c at every unfinished pair's midpoint in one
+    call; see solve_rho_z for the rules.
     """
-    runs = [_bisection(t, tol, max_iter) for t in targets]
-    out = [None] * len(runs)
-    live = np.arange(len(runs))
-    rho = np.array([next(run) for run in runs])
-    while live.size:
-        order = np.argsort(rho, kind="stable")
-        live, rho = live[order], rho[order]
-        starts = np.flatnonzero(np.r_[True, rho[1:] != rho[:-1]]).tolist() + [live.size]
-        next_k, next_rho = [], []
-        for a, b in zip(starts[:-1], starts[1:]):
-            ks = live[a:b]
-            for k, c in zip(ks.tolist(), matcher.c(float(rho[a]), i[ks], j[ks]).tolist()):
-                try:
-                    next_rho.append(runs[k].send(c))
-                    next_k.append(k)
-                except StopIteration as done:
-                    out[k] = done.value
-        live, rho = np.array(next_k, dtype=int), np.array(next_rho)
-    return out
+    t = np.asarray(targets, dtype=float)
+    lo, hi = np.full(t.size, -1.0 + 1e-6), np.full(t.size, 1.0 - 1e-6)
+    c_lo, c_hi = matcher.c(lo, i, j), matcher.c(hi, i, j)
+    rho, residual = np.zeros(t.size), np.abs(t)
+    clamped = np.zeros(t.size, dtype=bool)
+    # Flat matching function (degenerate marginal): rho_z is moot.
+    flat = c_hi - c_lo <= 1e-12
+    below = ~flat & (t <= c_lo)
+    above = ~flat & ~below & (t >= c_hi)
+    for end, c_end, over, side in ((lo, c_lo, t < c_lo, below), (hi, c_hi, t > c_hi, above)):
+        rho[side], residual[side] = end[side], np.abs(c_end - t)[side]
+        clamped[side] = over[side]
+    k = np.flatnonzero(~(flat | below | above))
+    lo, hi, t = lo[k], hi[k], t[k]
+    final = np.zeros(k.size, dtype=bool)  # the next evaluation is the last
+    steps = 0
+    while k.size:
+        mid = 0.5 * (lo + hi)
+        c_mid = matcher.c(mid, i[k], j[k])
+        err = np.abs(c_mid - t)
+        done = final | (err <= tol)
+        rho[k[done]], residual[k[done]] = mid[done], err[done]
+        go = ~done
+        k, lo, hi, t, mid, c_mid = k[go], lo[go], hi[go], t[go], mid[go], c_mid[go]
+        up = c_mid < t
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        steps += 1
+        # Discrete marginals step over the target; a collapsed bracket
+        # cannot improve the residual, so its midpoint is the answer.
+        final = (hi - lo <= 1e-9) | (steps >= max_iter)
+    return rho, residual, clamped
 
 
 def c_of_rho(marginal_i, marginal_j, rho_z, degree=64):
@@ -406,7 +400,7 @@ def c_of_rho(marginal_i, marginal_j, rho_z, degree=64):
     rho = float(rho_z)
     if not -1.0 <= rho <= 1.0:
         raise ValidationError("rho_z must lie in [-1, 1]")
-    return float(_Matcher([marginal_i, marginal_j], degree).c(rho, _I, _J)[0])
+    return float(_Matcher([marginal_i, marginal_j], degree).c(np.array([rho]), _I, _J)[0])
 
 
 def solve_rho_z(marginal_i, marginal_j, rho_x_target, *, tol=1e-4,
@@ -420,9 +414,9 @@ def solve_rho_z(marginal_i, marginal_j, rho_x_target, *, tol=1e-4,
     its residual rather than failing. tol must be finite and >= 0,
     max_iter and degree integers >= 1.
 
-    This is fit's bisection for a single pair. fit runs all pairs'
-    bisections in lockstep rounds; pairs that ask for the same rho_z in
-    a round share the rotated nodes and their normal-score index, and
+    This is fit's bisection with one pair. fit bisects all pairs
+    together in array rounds; pairs that ask for the same rho_z in a
+    round share the rotated nodes and their normal-score index, and
     every column's first-axis half is built once. Each pair sees the
     same sequence of c values either way.
     """
@@ -430,8 +424,9 @@ def solve_rho_z(marginal_i, marginal_j, rho_x_target, *, tol=1e-4,
     target = float(rho_x_target)
     if not -1.0 <= target <= 1.0:
         raise ValidationError("target correlation must lie in [-1, 1]")
-    return _match_pairs(_Matcher([marginal_i, marginal_j], degree), _I, _J, [target],
-                        tol, max_iter)[0]
+    rho, residual, clamped = _match_pairs(_Matcher([marginal_i, marginal_j], degree),
+                                          _I, _J, [target], tol, max_iter)
+    return RhoMatch(float(rho[0]), float(residual[0]), bool(clamped[0]))
 
 
 def nearest_correlation(a, *, tol=1e-9, max_iter=1000):
@@ -517,14 +512,14 @@ def fit(s: ScenarioSet, *, degree=64, match_tol=1e-4, bisect_max_iter=200) -> No
     marginals, sigma_x = estimate_inputs(s)
     n = len(marginals)
     i, j = np.triu_indices(n, k=1)
-    targets = sigma_x[i, j].tolist()
-    matches = _match_pairs(_Matcher(marginals, degree), i, j, targets, match_tol,
-                           bisect_max_iter)
+    targets = sigma_x[i, j]
+    rho, residual, clamped = _match_pairs(_Matcher(marginals, degree), i, j, targets,
+                                          match_tol, bisect_max_iter)
     sigma_z = np.eye(n)
-    report = FitReport()
-    for a, b, target, m in zip(i.tolist(), j.tolist(), targets, matches):
-        sigma_z[a, b] = sigma_z[b, a] = m.rho_z
-        report.pairs.append(PairMatch(a, b, target, m.rho_z, m.residual, m.clamped))
+    sigma_z[i, j] = sigma_z[j, i] = rho
+    report = FitReport([PairMatch(*pair) for pair in zip(
+        i.tolist(), j.tolist(), targets.tolist(), rho.tolist(), residual.tolist(),
+        clamped.tolist())])
     y = nearest_correlation(sigma_z)
     report.repair_distance = float(np.linalg.norm(sigma_z - y))
     chol, jitter = _cholesky_with_jitter(y)
@@ -550,8 +545,7 @@ def sample(model: NortaModel, m: int, seed) -> ScenarioSet:
     u = np.maximum(u, 2.0 ** -54)  # open-interval guard for the quantile
     zhat = normal_quantile(u)
     z = zhat @ model.chol.T
-    ug = np.maximum(normal_cdf(z), np.finfo(float).tiny)
     out = np.empty((m, n))
     for j, marg in enumerate(model.marginals):
-        out[:, j] = marg.quantile(ug[:, j])
+        out[:, j] = _normal_score_values(marg, z[:, j])
     return ScenarioSet(out, np.full(m, 1.0 / m), columns=model.columns)

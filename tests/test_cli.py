@@ -302,6 +302,50 @@ class TestCliErrors:
         assert run("make-instance", "--spec", p,
                    "--out", tmp_path / "g.json", tmp_path / "s.csv") == 2
 
+    @pytest.mark.parametrize("field, token", [
+        ("n_substations", "2.5"), ("gen_bus_fraction", '"x"'), ("demand_high", "1e400"),
+        ("seed", "-1"), ("corr_length", "0"), ("gen_bus_fraction", "1.5"),
+        ("n_flooded", "true"), ("topology", '["ring"]'),
+    ])
+    def test_bad_instance_spec_field(self, tmp_path, capsys, field, token):
+        spec = {k: v for k, v in SPEC.items() if k != field}
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(spec)[:-1] + f', "{field}": {token}}}')
+        grid = tmp_path / "g.json"
+        assert run("make-instance", "--spec", p, "--out", grid, tmp_path / "s.csv") == 2
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not grid.exists()
+
+    @pytest.mark.parametrize("cell", ["inf", "nan", "-inf"])
+    def test_non_finite_scenario_cell(self, tmp_path, capsys, cell):
+        p = tmp_path / "scen.csv"
+        p.write_text(f"0,1\n1,2\n3,{cell}\n")
+        out = tmp_path / "m.json"
+        assert run("fit", p, "--out", out) == 2
+        assert "line 3, column 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("substations", "flooded_flag", "false"),
+        ("substations", "max_height", 2.5),
+        ("substations", "id", 0.5),
+        ("buses", "substation_id", 1.5),
+        ("branches", "head", 1.5),
+        (None, "reference_bus", 0.5),
+        ("buses", "demand", "7"),
+    ])
+    def test_grid_fields_are_not_coerced(self, workdir, tmp_path, capsys, section, field,
+                                         value):
+        data = json.loads((workdir / "grid.json").read_text())
+        (data if section is None else data[section][0])[field] = value
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(data))
+        out = tmp_path / "p.json"
+        assert run("solve", grid, workdir / "scen.csv", "--out", out) == 2
+        where = "grid" if section is None else f"{section}[0]"
+        assert f"{where}: {field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCliBehaviour:
     def test_quiet_silences_stdout(self, workdir, tmp_path, capsys):

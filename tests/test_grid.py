@@ -251,6 +251,31 @@ class TestInstanceSpec:
         with pytest.raises(ValidationError, match="unknown"):
             InstanceSpec.from_dict({"n_substations": 2, "n_flooded": 1, "bogus": 3})
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_substations", 2.5), ("n_substations", True), ("n_flooded", -1),
+        ("buses_per_substation", 0), ("n_scenarios", "4"), ("max_height", 2.0),
+        ("topology", "mesh"), ("seed", -1), ("seed", 1.5), ("budget", -1.0),
+        ("budget", math.nan), ("demand_low", 0.0), ("demand_high", math.inf),
+        ("demand_high", 1.0), ("gen_bus_fraction", "x"), ("gen_bus_fraction", -0.1),
+        ("capacity_slack", 0.0), ("corr_length", 0), ("corr_length", -2.0),
+        ("corr_length", math.nan),
+    ])
+    def test_validate_names_the_bad_field(self, field, value):
+        spec = InstanceSpec(**{"n_substations": 4, "n_flooded": 2, field: value})
+        with pytest.raises(ValidationError, match=f"^{field} must be"):
+            spec.validate()
+
+    def test_a_spec_that_overflows_the_grid_is_rejected(self):
+        # capacity_slack * total demand overflows to inf, which no grid file can hold.
+        with pytest.raises(ValidationError, match="capacity must be finite"):
+            generate_instance(InstanceSpec(n_substations=3, n_flooded=2, capacity_slack=1e308))
+
+    def test_validate_accepts_the_range_ends(self):
+        InstanceSpec(n_substations=2, n_flooded=0, seed=0, budget=0, gen_bus_fraction=0,
+                     demand_low=3, demand_high=3).validate()
+        InstanceSpec(n_substations=2, n_flooded=2, gen_bus_fraction=1.0,
+                     corr_length=0.5).validate()
+
 
 class TestGenerateInstance:
     def test_shapes_and_columns(self):
@@ -319,6 +344,26 @@ class TestGridFiles:
         p = tmp_path / "grid.json"
         save_grid(g, p, extra={"manifest": {"note": "anything"}})
         assert load_grid(p).to_dict() == g.to_dict()
+
+    def test_generated_grid_roundtrip(self, tmp_path):
+        grid, _ = generate_instance(InstanceSpec(n_substations=5, n_flooded=3, seed=2))
+        p = tmp_path / "grid.json"
+        save_grid(grid, p, extra={"manifest": {"seed": 2}})
+        assert load_grid(p).to_dict() == grid.to_dict()
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("substations", "flooded_flag", "false"), ("substations", "flooded_flag", 0),
+        ("substations", "max_height", 2.5), ("branches", "tail", "1"),
+        ("branches", "capacity", True), ("buses", "gen_max", None),
+    ])
+    def test_json_types_are_checked(self, tmp_path, section, field, value):
+        data = two_bus_grid().to_dict()
+        data[section][-1][field] = value
+        p = tmp_path / "grid.json"
+        p.write_text(json.dumps(data))
+        k = len(data[section]) - 1
+        with pytest.raises(ValidationError, match=rf"^{section}\[{k}\]: {field} must be"):
+            load_grid(p)
 
     def test_missing_key_is_a_validation_error(self, tmp_path):
         p = tmp_path / "grid.json"

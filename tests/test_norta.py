@@ -586,3 +586,18 @@ class TestSample:
         model = make_model([EmpiricalMarginal([0.0, 1.0])] * 2, 0.0)
         with pytest.raises(ValidationError):
             sample(model, 0, seed=1)
+
+
+class TestOneColumnPanel:
+    """A K x 1 panel has no pairs to match."""
+
+    def test_fit_and_sample(self):
+        s = ScenarioSet.with_uniform_probs([[0.0], [2.0], [1.0], [2.0]], columns=(5,))
+        model = fit(s)
+        assert np.array_equal(model.sigma_z, [[1.0]])
+        assert model.report.to_dict() == {"pairs": [], "repair_distance": 0.0,
+                                          "chol_jitter": 0.0, "clamp_count": 0,
+                                          "max_residual": 0.0}
+        out = sample(model, 50, seed=0)
+        assert out.columns == (5,)
+        assert set(out.scenarios[:, 0]) <= {0.0, 1.0, 2.0}

@@ -48,7 +48,7 @@ grid = two_bus(10.0)
 print("height vs a flood of depth 3 at substation 1:")
 for h in range(5):
     z = operational_topology(grid, HardeningPlan([h]), np.array([3.0]))
-    shed = RecourseSolver(grid).shed_for(HardeningPlan([h]), np.array([3.0]))
+    shed = RecourseSolver(grid).shed_for_topology(z)
     status = "up  " if z[1] else "down"
     print(f"  x={h}  bus 1 {status}  shed {shed:.4f}")
 print("protection at or above the flood height keeps the bus, and shed")

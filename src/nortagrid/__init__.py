@@ -17,19 +17,17 @@ __version__ = "0.1.0"
 from .errors import (NumericalError, RecourseError, ResourceLimitError,
                      ValidationError)
 from .stats import (ConstantVectorError, EmpiricalMarginal, emd, normal_cdf,
-                    normal_pdf, normal_quantile, pearson_corr)
+                    normal_quantile, pearson_corr)
 from .norta import (FitReport, NortaModel, ScenarioSet, c_of_rho,
                     estimate_inputs, fit, nearest_correlation, sample,
                     solve_rho_z)
 from .grid import (Branch, Bus, GridInstance, HardeningPlan, InstanceSpec,
-                   Substation, connected_components, generate_instance,
-                   load_grid, load_scenarios, operational_topology, save_grid,
-                   save_scenarios)
+                   Substation, generate_instance, load_grid, load_scenarios,
+                   operational_topology, save_grid, save_scenarios)
 from .lp import LpProblem, LpSolution, solve_lp
 from .twostage import (OosReport, RecourseSolution, RecourseSolver,
                        TwoStageProblem, budget_sweep, evaluate_oos,
-                       greedy_first_stage, recourse, saa_objective,
-                       solve_first_stage)
+                       greedy_first_stage, saa_objective, solve_first_stage)
 
 __all__ = [
     "Branch",
@@ -56,7 +54,6 @@ __all__ = [
     "__version__",
     "budget_sweep",
     "c_of_rho",
-    "connected_components",
     "emd",
     "estimate_inputs",
     "evaluate_oos",
@@ -67,11 +64,9 @@ __all__ = [
     "load_scenarios",
     "nearest_correlation",
     "normal_cdf",
-    "normal_pdf",
     "normal_quantile",
     "operational_topology",
     "pearson_corr",
-    "recourse",
     "sample",
     "save_grid",
     "save_scenarios",

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import __version__, norta
 from .errors import NumericalError, ResourceLimitError, ValidationError
-from .grid import (GridInstance, HardeningPlan, InstanceSpec, _read_json, generate_instance,
-                   load_grid, load_scenarios, save_grid, save_scenarios)
+from .grid import (GridInstance, HardeningPlan, InstanceSpec, _field, _is_real, _read_json,
+                   generate_instance, load_grid, load_scenarios, save_grid, save_scenarios)
 from .norta import FitReport, NortaModel, PairMatch, ScenarioSet, estimate_inputs
 from .stats import EmpiricalMarginal, emd, spread
 from .twostage import (STAT_ROWS, RecourseSolver, TwoStageProblem, budget_sweep,
@@ -101,20 +101,34 @@ def _seven_stats(values):
 # Model and plan serialization
 
 
+def _finite_list(values, where):
+    """A JSON list of finite numbers as a float array."""
+    if not isinstance(values, list):
+        raise ValidationError(f"{where} must be a list of numbers")
+    for v in values:
+        if not _is_real(v):
+            raise ValidationError(f"{where} must hold finite numbers, got {v!r}")
+    return np.array(values, dtype=float)
+
+
 def load_model(path) -> NortaModel:
+    """A fitted model from its JSON file. Marginals and matrices must be
+    finite JSON numbers and `clamped` flags JSON booleans; a value of
+    another type is rejected, naming its field."""
     data = _read_json(path)
     try:
-        marginals = [EmpiricalMarginal(vals) for vals in data["marginals"]]
-        sigma_x = np.asarray(data["sigma_x"], dtype=float)
-        sigma_z = np.asarray(data["sigma_z"], dtype=float)
-        y = np.asarray(data["y"], dtype=float)
-        chol = np.asarray(data["chol"], dtype=float)
+        marginals = [EmpiricalMarginal(_finite_list(vals, f"marginals[{j}]"))
+                     for j, vals in enumerate(data["marginals"])]
+        sigma_x, sigma_z, y, chol = (
+            np.array([_finite_list(row, name) for row in data[name]])
+            for name in ("sigma_x", "sigma_z", "y", "chol"))
         raw_cols = data.get("columns")
         columns = tuple(int(c) for c in raw_cols) if raw_cols is not None else None
         rep = data.get("fit_report", {})
         pairs = [PairMatch(int(p["i"]), int(p["j"]), float(p["target"]),
-                           float(p["rho_z"]), float(p["residual"]), bool(p["clamped"]))
-                 for p in rep.get("pairs", [])]
+                           float(p["rho_z"]), float(p["residual"]),
+                           _field(p, "clamped", bool, f"fit_report.pairs[{k}]"))
+                 for k, p in enumerate(rep.get("pairs", []))]
         report = FitReport(pairs, float(rep.get("repair_distance", 0.0)),
                            float(rep.get("chol_jitter", 0.0)))
     except (KeyError, TypeError, ValueError) as exc:
@@ -131,25 +145,27 @@ def load_model(path) -> NortaModel:
 
 
 def load_plans(path, grid: GridInstance):
-    """Plan-file entries as (budget, plan, so_estimate) tuples."""
+    """Plan-file entries as (budget, plan, so_estimate) tuples. Heights
+    must be JSON integers, `budget` and `so_estimate` finite numbers or
+    null; a value of another type is rejected, naming its plan."""
     data = _read_json(path)
     entries = data.get("plans")
     if not isinstance(entries, list) or not entries:
         raise ValidationError(f"{path}: expected a non-empty 'plans' list")
     out = []
     for k, entry in enumerate(entries):
+        where = f"{path}: plan {k + 1}"
         try:
             hmap = entry["heights"]
             heights = []
             for sid in grid.flooded_ids:
                 key = str(sid)
                 if key not in hmap:
-                    raise ValidationError(
-                        f"{path}: plan {k + 1} is missing a height for substation {sid}")
-                heights.append(int(hmap[key]))
-            budget = float(entry["budget"]) if entry.get("budget") is not None else None
-            so = float(entry["so_estimate"]) if entry.get("so_estimate") is not None else None
-        except (KeyError, TypeError, ValueError) as exc:
+                    raise ValidationError(f"{where} is missing a height for substation {sid}")
+                heights.append(_field(hmap, key, int, f"{where} heights"))
+            budget, so = (None if entry.get(name) is None else _field(entry, name, float, where)
+                          for name in ("budget", "so_estimate"))
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"{path}: malformed plan {k + 1}: {exc}") from exc
         out.append((budget, HardeningPlan(np.array(heights, dtype=int)), so))
     return out
@@ -364,7 +380,6 @@ def cmd_evaluate(args):
     solver = RecourseSolver(grid)
     reports = []
     for budget, plan, so in load_plans(args.plan, grid):
-        plan.check_feasible(grid, budget=float("inf"))
         rep = evaluate_oos(problem, plan, synth, solver=solver)
         rep.budget = budget
         rep.so_estimate = so

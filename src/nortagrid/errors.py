@@ -4,6 +4,8 @@ The CLI maps these onto process exit codes: ValidationError -> 2,
 NumericalError (and subclasses) -> 3, ResourceLimitError -> 4.
 """
 
+__all__ = ["NumericalError", "RecourseError", "ResourceLimitError", "ValidationError"]
+
 
 class ValidationError(ValueError):
     """Input data or arguments violate a documented contract."""

@@ -31,7 +31,6 @@ __all__ = [
     "HardeningPlan",
     "InstanceSpec",
     "Substation",
-    "connected_components",
     "generate_instance",
     "load_grid",
     "load_scenarios",
@@ -267,24 +266,27 @@ class HardeningPlan:
 
 
 def operational_topology(grid: GridInstance, plan: HardeningPlan, scenario):
-    """Per-bus survival indicators z for one scenario.
-
-    A bus at a flooded substation survives iff protection meets the
-    water height (x >= delta, so equality keeps the bus up); buses at
-    safe substations are always up.
-    """
+    """Per-bus survival indicators z for one scenario (see _survival)."""
     delta = np.asarray(scenario, dtype=float).ravel()
     nf = len(grid.flooded_ids)
     if delta.size != nf:
         raise ValidationError(f"scenario has {delta.size} heights, grid has {nf} flooded substations")
     if plan.heights.size != nf:
         raise ValidationError("plan length does not match the flooded set")
-    alive_sub = plan.heights >= delta
-    pos = grid.bus_flood_pos
-    z = np.ones(grid.n_buses, dtype=bool)
-    exposed = pos >= 0
-    z[exposed] = alive_sub[pos[exposed]]
-    return z
+    return _survival(grid, plan.heights, delta)
+
+
+def _survival(grid: GridInstance, heights, deltas):
+    """Per-bus survival for flood heights deltas of shape (..., n_flooded).
+
+    A bus at a flooded substation survives iff protection meets the
+    water height (x >= delta, so equality keeps the bus up); buses at
+    safe substations are always up.
+    """
+    alive = np.ones(deltas.shape[:-1] + (deltas.shape[-1] + 1,), dtype=bool)
+    np.greater_equal(heights, deltas, out=alive[..., :-1])
+    # Safe buses have flood position -1: the all-True last column.
+    return alive[..., grid.bus_flood_pos]
 
 
 def _components_idx(grid: GridInstance, z):
@@ -312,11 +314,6 @@ def _components_idx(grid: GridInstance, z):
                     stack.append(v)
         comps.append(sorted(comp))
     return comps
-
-
-def connected_components(grid: GridInstance, z):
-    """Operational components as sorted lists of bus ids."""
-    return [sorted(int(grid.bus_ids[i]) for i in comp) for comp in _components_idx(grid, z)]
 
 
 # ----------------------------------------------------------------------

@@ -120,7 +120,6 @@ class _Simplex:
         self.hi = np.full(self.ncols, np.inf)
         self.lo[:n] = prob.lower
         self.hi[:n] = prob.upper
-        self.senses = []
         for i, (coeffs, sense, rhs) in enumerate(prob.rows):
             for col in sorted(coeffs):
                 self.A[i, col] = coeffs[col]
@@ -133,7 +132,6 @@ class _Simplex:
                 self.lo[s], self.hi[s] = -np.inf, 0.0
             else:
                 self.lo[s], self.hi[s] = 0.0, 0.0
-            self.senses.append(sense)
         self.art = n + m + np.arange(m)
         self.x = np.zeros(self.ncols)
         for j in range(n + m):
@@ -212,14 +210,11 @@ class _Simplex:
                 leave, hit_lower = i, lower_side
         return best_t, leave, hit_lower, w
 
-    def _step(self, c, bland):
-        """One simplex iteration; returns 'optimal', 'unbounded' or 'moved'."""
-        e, direction = self._entering(c, bland)
-        if e is None:
-            return "optimal"
+    def _pivot(self, e, direction):
+        """Move entering column e; False if nothing bounds the move."""
         t, leave, hit_lower, w = self._ratio_test(e, direction)
         if not np.isfinite(t):
-            return "unbounded"
+            return False
         if leave < 0:
             # Bound flip: entering jumps to its other bound, basis unchanged.
             self.x[e] = self.hi[e] if direction > 0 else self.lo[e]
@@ -235,19 +230,19 @@ class _Simplex:
                 self.lo[l_col] = self.hi[l_col] = 0.0
                 self.x[l_col] = 0.0
         self._recompute_basics()
-        return "moved"
+        return True
 
     def _run(self, c, max_iter):
         bland = False
         stall = 0
         prev = c @ self.x
         while True:
+            e, direction = self._entering(c, bland)
+            if e is None:
+                return OPTIMAL
             if self.iterations >= max_iter:
                 return ITERATION_LIMIT
-            outcome = self._step(c, bland)
-            if outcome == "optimal":
-                return OPTIMAL
-            if outcome == "unbounded":
+            if not self._pivot(e, direction):
                 return UNBOUNDED
             self.iterations += 1
             obj = c @ self.x
@@ -292,30 +287,18 @@ def solve_lp(prob: LpProblem, *, max_iter=None, feas_tol=1e-9, opt_tol=1e-9):
     """Solve an LpProblem; see module docstring for the method.
 
     max_iter defaults to 50 * (rows + columns), counted across both
-    phases. The returned solution reports the true maximum primal
-    infeasibility of its point; an "optimal" answer failing its own
-    feasibility check raises NumericalError instead of lying.
+    phases; `iterations` counts basis changes and bound flips alike, so
+    an LP without rows reports the flips that put its variables at their
+    better bounds. The limit is hit only when a pivot is still needed.
+    The returned solution reports the true maximum primal infeasibility
+    of its point; an "optimal" answer failing its own feasibility check
+    raises NumericalError instead of lying.
     """
     prob.validate()
     m = len(prob.rows)
     n = prob.n_vars
     if max_iter is None:
         max_iter = 50 * (m + n)
-    if m == 0:
-        # Pure bound minimization.
-        x = np.empty(n)
-        for j in range(n):
-            cj = prob.objective[j]
-            if cj > 0.0:
-                x[j] = prob.lower[j]
-            elif cj < 0.0:
-                x[j] = prob.upper[j]
-            else:
-                x[j] = _initial_value(prob.lower[j], prob.upper[j])
-        if not np.all(np.isfinite(x)):
-            return LpSolution(UNBOUNDED, None, None, 0.0, 0)
-        return LpSolution(OPTIMAL, x, float(prob.objective @ x), _max_infeas(prob, x), 0)
-
     sx = _Simplex(prob, feas_tol, opt_tol)
     c1 = np.zeros(sx.ncols)
     c1[sx.art] = 1.0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 from .errors import ValidationError
 
@@ -22,7 +22,6 @@ __all__ = [
     "check_correlation_matrix",
     "emd",
     "normal_cdf",
-    "normal_pdf",
     "normal_quantile",
     "normal_score_thresholds",
     "pearson_corr",
@@ -30,7 +29,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _THRESHOLD_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -149,70 +147,16 @@ def normal_score_thresholds(n):
     return tau
 
 
-def normal_pdf(z):
-    """Standard normal density."""
-    z_arr = np.asarray(z, dtype=float)
-    out = _INV_SQRT_2PI * np.exp(-0.5 * z_arr * z_arr)
-    return float(out) if np.ndim(z) == 0 else out
-
-
-# Acklam's rational approximation to the normal quantile (lower tail and
-# central region; the upper tail is handled by symmetry since 1 - u is
-# exact for u >= 0.5).
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-_ACKLAM_SPLIT = 0.02425
-
-
-def _acklam_lower(p):
-    """Rational-approximation quantile for p in (0, 0.5]; returns z <= 0."""
-    out = np.empty_like(p)
-    low = p < _ACKLAM_SPLIT
-    if np.any(low):
-        q = np.sqrt(-2.0 * np.log(p[low]))
-        a = _ACKLAM_C
-        num = ((((a[0] * q + a[1]) * q + a[2]) * q + a[3]) * q + a[4]) * q + a[5]
-        d = _ACKLAM_D
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        out[low] = num / den
-    mid = ~low
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        a = _ACKLAM_A
-        num = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-        b = _ACKLAM_B
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        out[mid] = num / den
-    return out
-
-
 def normal_quantile(u):
-    """Inverse standard normal CDF on the open interval (0, 1).
-
-    One Newton refinement on top of Acklam's approximation; the
-    refinement runs in the lower tail where the CDF is evaluated with
-    full relative accuracy, so normal_quantile(normal_cdf(z)) recovers z
-    to ~1e-8 absolute over |z| <= 6 (the representation limit near u=1).
+    """Inverse standard normal CDF on the open interval (0, 1), by
+    scipy.special.ndtri: normal_quantile(normal_cdf(z)) recovers z to
+    ~1e-8 absolute over |z| <= 6 (the representation limit near u=1).
     """
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+    u_arr = np.asarray(u, dtype=float)
     if np.any(~np.isfinite(u_arr)) or np.any((u_arr <= 0.0) | (u_arr >= 1.0)):
         raise ValidationError("normal_quantile is defined on the open interval (0, 1)")
-    upper = u_arr > 0.5
-    p = np.where(upper, 1.0 - u_arr, u_arr)  # exact subtraction for u in [0.5, 1)
-    z0 = _acklam_lower(p)
-    f = normal_cdf(z0) - p
-    pdf = normal_pdf(z0)
-    step = np.divide(f, pdf, out=np.zeros_like(f), where=pdf > 1e-300)
-    z = z0 - step
-    out = np.where(upper, -z, z)
-    return float(out[0]) if np.ndim(u) == 0 else out.reshape(np.shape(u))
+    out = ndtri(u_arr)
+    return float(out) if np.ndim(u) == 0 else out
 
 
 def pearson_corr(xs, ys):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lp
 from .errors import RecourseError, ResourceLimitError, ValidationError
-from .grid import GridInstance, HardeningPlan, _components_idx, operational_topology
+from .grid import GridInstance, HardeningPlan, _components_idx, _survival
 from .norta import ScenarioSet
 from .stats import spread
 
@@ -32,7 +32,6 @@ __all__ = [
     "budget_sweep",
     "evaluate_oos",
     "greedy_first_stage",
-    "recourse",
     "saa_objective",
     "solve_first_stage",
 ]
@@ -194,17 +193,11 @@ class RecourseSolver:
         except KeyError:
             return self.solve_topology(z).shed
 
-    def shed_for(self, plan: HardeningPlan, scenario) -> float:
-        return self.shed_for_topology(operational_topology(self.grid, plan, scenario))
-
     def sheds(self, heights, deltas) -> list:
         """Shed under each scenario row of deltas (K x flooded), in order.
         All K keys come from one batch; only misses reach the LP, and a
         failing LP raises RecourseError with its row as scenario_index."""
-        alive = np.ones((deltas.shape[0], deltas.shape[1] + 1), dtype=bool)
-        np.greater_equal(heights, deltas, out=alive[:, :-1])
-        # Safe buses have flood position -1: the all-True last column.
-        z = alive[:, self.grid.bus_flood_pos]
+        z = _survival(self.grid, heights, deltas)
         cache = self._shed_cache
         out = []
         for k, key in enumerate(_survival_key(z)):
@@ -217,12 +210,6 @@ class RecourseSolver:
                                         scenario_index=k) from exc
             out.append(shed)
         return out
-
-
-def recourse(grid: GridInstance, plan: HardeningPlan, scenario) -> RecourseSolution:
-    """Optimal load shedding for one plan under one flood scenario."""
-    z = operational_topology(grid, plan, scenario)
-    return RecourseSolver(grid).solve_topology(z)
 
 
 class _SaaEvaluator:

@@ -110,7 +110,8 @@ def enumerate_first_stage(problem: TwoStageProblem, budget, *, solver=None):
         plan = HardeningPlan(np.asarray(combo, dtype=int))
         if plan.cost(grid) > budget + 1e-9:
             continue
-        sheds = np.array([solver.shed_for(plan, scen[j]) for j in range(len(probs))])
+        sheds = np.array([solver.shed_for_topology(operational_topology(grid, plan, scen[j]))
+                          for j in range(len(probs))])
         val = problem.stage_cost(plan.heights) + float(probs @ sheds)
         if best_val is None or val < best_val - 1e-12:
             best_val, best_plans = val, [combo]

@@ -291,6 +291,50 @@ class TestCliErrors:
         assert run("evaluate", workdir / "grid.json", p, workdir / "synth.csv",
                    "--out", tmp_path / "rep.json") == 2
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("heights", 2.5, "plan 1 heights: 0 must be an integer, got 2.5"),
+        ("heights", "1", "plan 1 heights: 0 must be an integer, got '1'"),
+        ("heights", True, "plan 1 heights: 0 must be an integer, got True"),
+        ("budget", "4", "plan 1: budget must be a finite number, got '4'"),
+        ("budget", float("nan"), "plan 1: budget must be a finite number, got nan"),
+        ("so_estimate", "0.5", "plan 1: so_estimate must be a finite number, got '0.5'"),
+    ])
+    def test_plan_fields_are_not_coerced(self, workdir, tmp_path, capsys, field, value,
+                                         message):
+        data = json.loads((workdir / "plans.json").read_text())
+        if field == "heights":
+            data["plans"][0]["heights"]["0"] = value
+        else:
+            data["plans"][0][field] = value
+        p = tmp_path / "plans.json"
+        p.write_text(json.dumps(data))
+        out = tmp_path / "rep.json"
+        assert run("evaluate", workdir / "grid.json", p, workdir / "synth.csv",
+                   "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, message", [
+        ("chol", "chol must hold finite numbers, got nan"),
+        ("sigma_z", "sigma_z must hold finite numbers, got inf"),
+        ("marginals", "marginals[0] must hold finite numbers, got '2'"),
+        ("clamped", "fit_report.pairs[0]: clamped must be true or false, got 'false'"),
+    ])
+    def test_model_fields_are_not_coerced(self, workdir, tmp_path, capsys, field, message):
+        data = json.loads((workdir / "model.json").read_text())
+        if field == "clamped":
+            data["fit_report"]["pairs"][0]["clamped"] = "false"
+        elif field == "marginals":
+            data["marginals"][0][0] = "2"
+        else:
+            data[field][1][0] = float("nan") if field == "chol" else float("inf")
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(data))
+        out = tmp_path / "s.csv"
+        assert run("generate", p, "--count", 5, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_model_file(self, tmp_path):
         p = tmp_path / "model.json"
         p.write_text(json.dumps({"format": "nortagrid-model", "marginals": [[1.0]]}))

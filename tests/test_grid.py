@@ -14,7 +14,7 @@ from nortagrid.grid import (
     HardeningPlan,
     InstanceSpec,
     Substation,
-    connected_components,
+    _components_idx,
     generate_instance,
     load_grid,
     load_scenarios,
@@ -23,6 +23,11 @@ from nortagrid.grid import (
     save_scenarios,
 )
 from nortagrid.norta import ScenarioSet
+
+
+def components(grid, z):
+    """Operational components as sorted lists of bus ids."""
+    return [sorted(int(grid.bus_ids[i]) for i in comp) for comp in _components_idx(grid, z)]
 
 
 def path_grid(n=3, alive_demand=4.0):
@@ -206,24 +211,24 @@ class TestOperationalTopology:
 class TestConnectedComponents:
     def test_fully_alive_path_is_one_component(self):
         g = path_grid(3)
-        comps = connected_components(g, [True, True, True])
+        comps = components(g, [True, True, True])
         assert comps == [[0, 1, 2]]
 
     def test_dead_middle_splits_into_singletons(self):
         g = path_grid(3)
-        comps = connected_components(g, [True, False, True])
+        comps = components(g, [True, False, True])
         assert comps == [[0], [2]]
 
     def test_all_dead_means_no_components(self):
         g = path_grid(3)
-        assert connected_components(g, [False, False, False]) == []
+        assert components(g, [False, False, False]) == []
 
     def test_components_partition_the_alive_set(self):
         rng = np.random.default_rng(3)
         g = path_grid(6)
         for _ in range(20):
             z = rng.random(6) < 0.6
-            comps = connected_components(g, z)
+            comps = components(g, z)
             flat = [b for c in comps for b in c]
             assert sorted(flat) == sorted(np.flatnonzero(z).tolist())
             assert len(flat) == len(set(flat))
@@ -327,7 +332,7 @@ class TestGenerateInstance:
         spec = InstanceSpec(n_substations=7, n_flooded=3, buses_per_substation=2,
                             topology=topology, seed=5)
         grid, _ = generate_instance(spec)
-        comps = connected_components(grid, np.ones(grid.n_buses, dtype=bool))
+        comps = components(grid, np.ones(grid.n_buses, dtype=bool))
         assert len(comps) == 1
 
 

@@ -46,6 +46,16 @@ class TestExamples:
         assert sol.objective == pytest.approx(-10.0)
         assert sol.x.tolist() == [0.0, 5.0, 1.0]
 
+    def test_no_row_lp_runs_the_simplex_by_bound_flips(self):
+        # One flip (x1 to its upper bound); the others start at their optimum.
+        prob = LpProblem.with_bounds([3.0, -2.0, 0.0, -1.0], [0.0, 0.0, 1.0, -np.inf],
+                                     [4.0, 5.0, 2.0, 7.0])
+        sol = solve_lp(prob)
+        assert sol.status == "optimal" and sol.iterations == 1
+        assert sol.x.tolist() == [0.0, 5.0, 1.0, 7.0]
+        empty = solve_lp(LpProblem.with_bounds([], [], []))
+        assert (empty.status, empty.x.size, empty.objective) == ("optimal", 0, 0.0)
+
     def test_equality_row(self):
         prob = LpProblem.with_bounds([1.0, 1.0], [0.0, 0.0], [5.0, 5.0])
         prob.add_row({0: 1.0, 1: 1.0}, "==", 3.0)

@@ -16,7 +16,6 @@ from nortagrid.stats import (
     check_correlation_matrix,
     emd,
     normal_cdf,
-    normal_pdf,
     normal_quantile,
     normal_score_thresholds,
     pearson_corr,
@@ -95,12 +94,6 @@ class TestNormalQuantile:
     def test_domain_is_open_interval(self, bad):
         with pytest.raises(ValidationError):
             normal_quantile(bad)
-
-    def test_pdf_matches_derivative(self):
-        h = 1e-6
-        for z in (-2.0, -0.3, 0.0, 1.1, 2.7):
-            num = (normal_cdf(z + h) - normal_cdf(z - h)) / (2 * h)
-            assert normal_pdf(z) == pytest.approx(num, rel=1e-8)
 
 
 class TestEmpiricalMarginal:

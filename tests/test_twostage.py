@@ -33,6 +33,7 @@ from nortagrid.grid import (
     Substation,
     _components_idx,
     generate_instance,
+    operational_topology,
 )
 from nortagrid.norta import ScenarioSet
 from nortagrid.twostage import (
@@ -42,7 +43,6 @@ from nortagrid.twostage import (
     budget_sweep,
     evaluate_oos,
     greedy_first_stage,
-    recourse,
     saa_objective,
     solve_first_stage,
 )
@@ -75,20 +75,23 @@ def check_solution_invariants(grid, sol):
 class TestRecourse:
     def test_angle_bound_caps_the_weak_line(self):
         g = two_bus_grid(susceptance=1.0, capacity=10.0)
-        sol = recourse(g, HardeningPlan(np.array([1])), [1.0])
+        z = operational_topology(g, HardeningPlan(np.array([1])), [1.0])
+        sol = RecourseSolver(g).solve_topology(z)
         assert sol.shed == pytest.approx(5.0 - math.pi, abs=1e-7)
         check_solution_invariants(g, sol)
 
     def test_stiff_line_serves_everything(self):
         g = two_bus_grid(susceptance=10.0, capacity=10.0)
-        sol = recourse(g, HardeningPlan(np.array([1])), [1.0])
+        z = operational_topology(g, HardeningPlan(np.array([1])), [1.0])
+        sol = RecourseSolver(g).solve_topology(z)
         assert sol.shed == pytest.approx(0.0, abs=1e-9)
         assert abs(sol.e[0]) == pytest.approx(5.0, abs=1e-7)
         check_solution_invariants(g, sol)
 
     def test_dead_bus_sheds_its_demand(self):
         g = two_bus_grid(susceptance=10.0)
-        sol = recourse(g, HardeningPlan(np.array([0])), [1.0])
+        z = operational_topology(g, HardeningPlan(np.array([0])), [1.0])
+        sol = RecourseSolver(g).solve_topology(z)
         assert sol.shed == pytest.approx(5.0, abs=1e-9)
         assert sol.z.tolist() == [1, 0]
         assert sol.s[1] == 0.0
@@ -97,13 +100,15 @@ class TestRecourse:
 
     def test_capacity_binds_before_demand(self):
         g = two_bus_grid(susceptance=10.0, capacity=3.0)
-        sol = recourse(g, HardeningPlan(np.array([1])), [1.0])
+        z = operational_topology(g, HardeningPlan(np.array([1])), [1.0])
+        sol = RecourseSolver(g).solve_topology(z)
         assert sol.shed == pytest.approx(2.0, abs=1e-7)
         check_solution_invariants(g, sol)
 
     def test_all_dead_grid_sheds_everything(self):
         g = star_grid(n_flooded=2)
-        sol = recourse(g, HardeningPlan(np.array([0, 0])), [1.0, 1.0])
+        z = operational_topology(g, HardeningPlan(np.array([0, 0])), [1.0, 1.0])
+        sol = RecourseSolver(g).solve_topology(z)
         # hub bus carries no demand, both demand buses are down
         assert sol.shed == pytest.approx(10.0, abs=1e-9)
         check_solution_invariants(g, sol)
@@ -129,9 +134,9 @@ class TestRecourse:
     def test_solver_cache_returns_identical_floats(self):
         g = two_bus_grid(susceptance=1.0)
         solver = RecourseSolver(g)
-        a = solver.shed_for(HardeningPlan(np.array([1])), [1.0])
-        b = solver.shed_for(HardeningPlan(np.array([2])), [2.0])  # same z
-        assert a == b
+        z1 = operational_topology(g, HardeningPlan(np.array([1])), [1.0])
+        z2 = operational_topology(g, HardeningPlan(np.array([2])), [2.0])  # same z
+        assert solver.shed_for_topology(z1) == solver.shed_for_topology(z2)
 
 
 small_grids = st.builds(
@@ -633,9 +638,11 @@ class TestShedMonotonicity:
             for _ in range(5):
                 x = rng.integers(0, caps + 1)
                 k = int(rng.integers(0, scen.n_scenarios))
-                before = solver.shed_for(HardeningPlan(x), scen.scenarios[k])
+                before = solver.shed_for_topology(
+                    operational_topology(grid, HardeningPlan(x), scen.scenarios[k]))
                 bump = x.copy()
                 j = int(rng.integers(0, nf))
                 bump[j] = min(bump[j] + 1, caps[j] + 2)
-                after = solver.shed_for(HardeningPlan(bump), scen.scenarios[k])
+                after = solver.shed_for_topology(
+                    operational_topology(grid, HardeningPlan(bump), scen.scenarios[k]))
                 assert after <= before + 1e-9

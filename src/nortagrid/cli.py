@@ -111,10 +111,15 @@ def _finite_list(values, where):
     return np.array(values, dtype=float)
 
 
+_PAIR_FIELDS = (("i", int), ("j", int), ("target", float), ("rho_z", float),
+                ("residual", float), ("clamped", bool))
+
+
 def load_model(path) -> NortaModel:
-    """A fitted model from its JSON file. Marginals and matrices must be
-    finite JSON numbers and `clamped` flags JSON booleans; a value of
-    another type is rejected, naming its field."""
+    """A fitted model from its JSON file. Column ids and pair indices
+    must be JSON integers, marginals, matrices and the other fit-report
+    numbers finite JSON numbers, and `clamped` flags JSON booleans; a
+    value of another type is rejected, naming its field."""
     data = _read_json(path)
     try:
         marginals = [EmpiricalMarginal(_finite_list(vals, f"marginals[{j}]"))
@@ -123,14 +128,16 @@ def load_model(path) -> NortaModel:
             np.array([_finite_list(row, name) for row in data[name]])
             for name in ("sigma_x", "sigma_z", "y", "chol"))
         raw_cols = data.get("columns")
-        columns = tuple(int(c) for c in raw_cols) if raw_cols is not None else None
+        columns = None if raw_cols is None else tuple(
+            _field(raw_cols, k, int, "columns") for k in range(len(raw_cols)))
         rep = data.get("fit_report", {})
-        pairs = [PairMatch(int(p["i"]), int(p["j"]), float(p["target"]),
-                           float(p["rho_z"]), float(p["residual"]),
-                           _field(p, "clamped", bool, f"fit_report.pairs[{k}]"))
-                 for k, p in enumerate(rep.get("pairs", []))]
-        report = FitReport(pairs, float(rep.get("repair_distance", 0.0)),
-                           float(rep.get("chol_jitter", 0.0)))
+        pairs = []
+        for k, p in enumerate(rep.get("pairs", [])):
+            where = f"fit_report.pairs[{k}]"
+            pairs.append(PairMatch(*[_field(p, name, kind, where) for name, kind in _PAIR_FIELDS]))
+        scalars = [_field(rep, name, float, "fit_report") if name in rep else 0.0
+                   for name in ("repair_distance", "chol_jitter")]
+        report = FitReport(pairs, *scalars)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model file {path}: {exc}") from exc
     n = len(marginals)

@@ -1,4 +1,4 @@
-"""Dense bounded-variable linear programming by two-phase primal simplex.
+"""Dense bounded-variable linear programming by primal simplex.
 
 Small, deterministic, and self-contained: the recourse model needs exact
 statuses (optimal / infeasible / unbounded / iteration-limit), bound
@@ -6,9 +6,15 @@ handling on every variable, and bit-reproducible pivoting, which is the
 whole point of carrying our own solver instead of shelling out.
 
 Internals: each constraint row gets a slack column whose bounds encode
-the sense, plus a phase-1 artificial column; the basis is refactorized
-with a dense solve every iteration (problems here are tiny, correctness
-beats speed). Entering variables follow Dantzig's rule until the
+the sense, plus an artificial column. Nonbasic columns start at their
+lower bound, else their upper bound, else 0. A problem that names a
+start basis (`LpProblem.basis`) goes straight to phase 2 from it when
+that basis is well-formed, nonsingular and primal feasible within
+feas_tol; otherwise phase 1 starts from the all-artificial basis and
+drives the artificials out before phase 2. The basis inverse is kept
+explicitly: each basis change applies a product-form (eta) update, and
+B^-1 is refactorized from scratch after 2m updates and before a phase's
+final point is read. Entering variables follow Dantzig's rule until the
 objective stalls for 100 iterations, then Bland's rule takes over to
 guarantee termination.
 """
@@ -45,7 +51,11 @@ class LpProblem:
     """min c.x subject to row constraints and variable bounds.
 
     Rows are (coeffs, sense, rhs) with coeffs a {column: value} dict;
-    bounds may be +-inf.
+    bounds may be +-inf. `basis` optionally names a starting basis, one
+    column per row: j < n_vars is structural column j, n_vars + i is the
+    slack of row i. With every other column at its start value (lower
+    bound, else upper bound, else 0) it must be nonsingular and primal
+    feasible, or the solver ignores it and runs phase 1.
     """
 
     n_vars: int
@@ -53,6 +63,7 @@ class LpProblem:
     lower: np.ndarray
     upper: np.ndarray
     rows: list = field(default_factory=list)
+    basis: list | None = None
 
     @classmethod
     def with_bounds(cls, objective, lower, upper):
@@ -98,14 +109,6 @@ class LpSolution:
     iterations: int
 
 
-def _initial_value(lo, hi):
-    if np.isfinite(lo):
-        return lo
-    if np.isfinite(hi):
-        return hi
-    return 0.0
-
-
 class _Simplex:
     def __init__(self, prob: LpProblem, feas_tol, opt_tol):
         self.feas_tol = feas_tol
@@ -134,8 +137,8 @@ class _Simplex:
                 self.lo[s], self.hi[s] = 0.0, 0.0
         self.art = n + m + np.arange(m)
         self.x = np.zeros(self.ncols)
-        for j in range(n + m):
-            self.x[j] = _initial_value(self.lo[j], self.hi[j])
+        lo, hi = self.lo[:n + m], self.hi[:n + m]
+        self.x[:n + m] = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
         resid = self.b - self.A[:, :n + m] @ self.x[:n + m]
         sign = np.where(resid >= 0.0, 1.0, -1.0)
         self.A[np.arange(m), self.art] = sign
@@ -145,21 +148,89 @@ class _Simplex:
         self.basis = self.art.copy()
         self.in_basis = np.zeros(self.ncols, dtype=bool)
         self.in_basis[self.basis] = True
+        self.Binv = np.diag(sign)  # the artificial basis is its own inverse
+        self.updates = 0
         self.iterations = 0
 
     # -- linear algebra helpers -------------------------------------
 
-    def _recompute_basics(self):
-        mask = ~self.in_basis
-        rhs = self.b - self.A[:, mask] @ self.x[mask]
+    def _refactor(self):
+        """Binv = B^-1 afresh, dropping the accumulated eta updates."""
         try:
-            xb = np.linalg.solve(self.A[:, self.basis], rhs)
+            self.Binv = np.linalg.inv(self.A[:, self.basis])
         except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by pivot tol
             raise NumericalError("singular basis in simplex") from exc
+        self.updates = 0
+
+    def _ftran(self, a):
+        """B^-1 a."""
+        return self.Binv @ a
+
+    def _btran(self, c):
+        """c B^-1."""
+        return c @ self.Binv
+
+    def _recompute_basics(self):
+        mask = ~self.in_basis
+        self.x[self.basis] = self._ftran(self.b - self.A[:, mask] @ self.x[mask])
+
+    def _refresh(self):
+        """Refactorize and recompute the basic values, if B^-1 carries
+        eta updates."""
+        if self.updates:
+            self._refactor()
+            self._recompute_basics()
+
+    def _replace(self, leave, e, w):
+        """Column e (with w = B^-1 a_e) takes basis row `leave`; B^-1 gets
+        the eta update, and a refactorization after 2m of them. Returns
+        the column that left."""
+        l_col = self.basis[leave]
+        self.basis[leave] = e
+        self.in_basis[e] = True
+        self.in_basis[l_col] = False
+        r = self.Binv[leave] / w[leave]
+        self.Binv -= np.outer(w, r)
+        self.Binv[leave] = r
+        self.updates += 1
+        if self.updates >= 2 * self.m:
+            self._refactor()
+        return l_col
+
+    def crash(self, basis):
+        """Start from a supplied basis (see LpProblem.basis) in place of
+        the artificial one; False, with nothing changed, if it is
+        malformed, singular or primal infeasible."""
+        if basis is None:
+            return False
+        cols = np.asarray(basis)
+        if (cols.shape != (self.m,) or not np.issubdtype(cols.dtype, np.integer)
+                or np.any(cols < 0) or np.any(cols >= self.n + self.m)
+                or np.unique(cols).size != self.m):
+            return False
+        bmat = self.A[:, cols]
+        try:
+            binv = np.linalg.inv(bmat)
+        except np.linalg.LinAlgError:
+            return False
+        if not np.abs(binv @ bmat - np.eye(self.m)).max(initial=0.0) <= 1e-9:
+            return False  # numerically singular (also catches nan)
+        x_n = self.x[:self.n + self.m].copy()
+        x_n[cols] = 0.0
+        xb = binv @ (self.b - self.A[:, :self.n + self.m] @ x_n)
+        if not (np.all(np.isfinite(xb)) and np.all(xb >= self.lo[cols] - self.feas_tol)
+                and np.all(xb <= self.hi[cols] + self.feas_tol)):
+            return False
+        self.lo[self.art] = self.hi[self.art] = self.x[self.art] = 0.0
+        self.in_basis[self.basis] = False
+        self.basis = cols.astype(self.basis.dtype)
+        self.in_basis[self.basis] = True
         self.x[self.basis] = xb
+        self.Binv = binv
+        return True
 
     def _duals(self, c):
-        return np.linalg.solve(self.A[:, self.basis].T, c[self.basis])
+        return self._btran(c[self.basis])
 
     # -- pivoting ----------------------------------------------------
 
@@ -184,7 +255,7 @@ class _Simplex:
         return j, (1 if up[j] else -1)
 
     def _ratio_test(self, e, direction):
-        w = np.linalg.solve(self.A[:, self.basis], self.A[:, e])
+        w = self._ftran(self.A[:, e])
         delta = direction * w
         best_t = self.hi[e] - self.lo[e]  # bound-flip distance (inf if unbounded)
         if not np.isfinite(best_t):
@@ -219,11 +290,8 @@ class _Simplex:
             # Bound flip: entering jumps to its other bound, basis unchanged.
             self.x[e] = self.hi[e] if direction > 0 else self.lo[e]
         else:
-            l_col = self.basis[leave]
             self.x[e] = self.x[e] + direction * t
-            self.basis[leave] = e
-            self.in_basis[e] = True
-            self.in_basis[l_col] = False
+            l_col = self._replace(leave, e, w)
             self.x[l_col] = self.lo[l_col] if hit_lower else self.hi[l_col]
             if l_col >= self.n + self.m:
                 # An artificial that leaves the basis never comes back.
@@ -233,12 +301,15 @@ class _Simplex:
         return True
 
     def _run(self, c, max_iter):
+        """Iterate to a status; at OPTIMAL, x comes from a fresh
+        factorization."""
         bland = False
         stall = 0
         prev = c @ self.x
         while True:
             e, direction = self._entering(c, bland)
             if e is None:
+                self._refresh()
                 return OPTIMAL
             if self.iterations >= max_iter:
                 return ITERATION_LIMIT
@@ -264,15 +335,13 @@ class _Simplex:
                 continue
             ei = np.zeros(self.m)
             ei[i] = 1.0
-            row = np.linalg.solve(self.A[:, self.basis].T, ei) @ self.A
+            row = self._btran(ei) @ self.A
             replaced = False
             for j in range(self.n + self.m):
                 if self.in_basis[j] or self.lo[j] == self.hi[j]:
                     continue
                 if abs(row[j]) > 1e-7:
-                    self.basis[i] = j
-                    self.in_basis[j] = True
-                    self.in_basis[col] = False
+                    self._replace(i, j, self._ftran(self.A[:, j]))
                     self.lo[col] = self.hi[col] = 0.0
                     self.x[col] = 0.0
                     self._recompute_basics()
@@ -281,6 +350,7 @@ class _Simplex:
             if not replaced:
                 # Redundant row: the artificial stays basic, pinned at 0.
                 self.lo[col] = self.hi[col] = 0.0
+        self._refresh()
 
 
 def solve_lp(prob: LpProblem, *, max_iter=None, feas_tol=1e-9, opt_tol=1e-9):
@@ -300,15 +370,16 @@ def solve_lp(prob: LpProblem, *, max_iter=None, feas_tol=1e-9, opt_tol=1e-9):
     if max_iter is None:
         max_iter = 50 * (m + n)
     sx = _Simplex(prob, feas_tol, opt_tol)
-    c1 = np.zeros(sx.ncols)
-    c1[sx.art] = 1.0
-    status = sx._run(c1, max_iter)
-    if status == ITERATION_LIMIT:
-        return LpSolution(ITERATION_LIMIT, None, None, np.inf, sx.iterations)
-    phase1 = float(c1 @ sx.x)
-    if phase1 > feas_tol * (1.0 + float(np.abs(sx.b).max(initial=0.0))) * 10.0:
-        return LpSolution(INFEASIBLE, None, None, phase1, sx.iterations)
-    sx.drive_out_artificials()
+    if not sx.crash(prob.basis):
+        c1 = np.zeros(sx.ncols)
+        c1[sx.art] = 1.0
+        status = sx._run(c1, max_iter)
+        if status == ITERATION_LIMIT:
+            return LpSolution(ITERATION_LIMIT, None, None, np.inf, sx.iterations)
+        phase1 = float(c1 @ sx.x)
+        if phase1 > feas_tol * (1.0 + float(np.abs(sx.b).max(initial=0.0))) * 10.0:
+            return LpSolution(INFEASIBLE, None, None, phase1, sx.iterations)
+        sx.drive_out_artificials()
     c2 = np.zeros(sx.ncols)
     c2[:n] = prob.objective
     status = sx._run(c2, max_iter)

@@ -124,6 +124,12 @@ class RecourseSolver:
         ref = idx_a + int(np.argmin(g.bus_ids[buses]))
         lo[ref] = hi[ref] = 0.0
         prob = lp.LpProblem.with_bounds(c, lo, hi)
+        # Start basis at x = 0: the slack of balance row 0, every other
+        # angle and every flow. Eliminating the flows leaves the reduced
+        # Laplacian beside e_0, which is nonsingular on a connected
+        # component since e_0 is not in the range of the Laplacian.
+        prob.basis = ([prob.n_vars] + [k for k in range(idx_a, idx_e) if k != ref]
+                      + list(range(idx_e, idx_e + nr)))
         pos = {j: k for k, j in enumerate(buses.tolist())}
         heads = [pos[j] for j in g.head_idx[branches].tolist()]
         tails = [pos[j] for j in g.tail_idx[branches].tolist()]

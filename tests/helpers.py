@@ -2,9 +2,9 @@
 
 Oracles here recompute answers from first principles (exhaustive plan
 enumeration, LP vertex enumeration, big-M feasibility, one recourse LP
-over the whole grid, the per-row simplex ratio test, one correlation
-match per pair) so that a bug in the library cannot hide behind shared
-code paths.
+over the whole grid, the per-row simplex ratio test, a simplex solving
+with its basis afresh at every step, one correlation match per pair) so
+that a bug in the library cannot hide behind shared code paths.
 """
 import itertools
 import math
@@ -309,7 +309,7 @@ class LoopRatioSimplex(lp._Simplex):
     ties = 0
 
     def _ratio_test(self, e, direction):
-        w = np.linalg.solve(self.A[:, self.basis], self.A[:, e])
+        w = self._ftran(self.A[:, e])
         delta = direction * w
         best_t = self.hi[e] - self.lo[e]
         if not np.isfinite(best_t):
@@ -340,6 +340,17 @@ class LoopRatioSimplex(lp._Simplex):
                 leave, hit_lower = i, lower_side
                 self.ties += 1
         return best_t, leave, hit_lower, w
+
+
+class FreshSolveSimplex(lp._Simplex):
+    """The simplex with every B^-1 product a fresh np.linalg.solve
+    against the current basis columns, in place of the kept inverse."""
+
+    def _ftran(self, a):
+        return np.linalg.solve(self.A[:, self.basis], a)
+
+    def _btran(self, c):
+        return np.linalg.solve(self.A[:, self.basis].T, c)
 
 
 def _per_pair_matching_function(marginal_i, marginal_j, degree):

@@ -335,6 +335,37 @@ class TestCliErrors:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("columns", 0), 0.5, "columns: 0 must be an integer, got 0.5"),
+        (("columns", 1), "3", "columns: 1 must be an integer, got '3'"),
+        (("fit_report", "pairs", 0, "i"), True,
+         "fit_report.pairs[0]: i must be an integer, got True"),
+        (("fit_report", "pairs", 0, "target"), "0.5",
+         "fit_report.pairs[0]: target must be a finite number, got '0.5'"),
+        (("fit_report", "chol_jitter"), None,
+         "fit_report: chol_jitter must be a finite number, got None"),
+    ])
+    def test_model_ids_and_fit_report_are_not_coerced(self, workdir, tmp_path, capsys,
+                                                      path, value, message):
+        data = json.loads((workdir / "model.json").read_text())
+        *parents, key = path
+        entry = data
+        for k in parents:
+            entry = entry[k]
+        entry[key] = value
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(data))
+        out = tmp_path / "s.csv"
+        assert run("generate", p, "--count", 5, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fitted_model_loads_unchanged(self, workdir):
+        data = json.loads((workdir / "model.json").read_text())
+        model = cli.load_model(workdir / "model.json")
+        assert list(model.columns) == data["columns"]
+        assert model.report.to_dict() == data["fit_report"]
+
     def test_malformed_model_file(self, tmp_path):
         p = tmp_path / "model.json"
         p.write_text(json.dumps({"format": "nortagrid-model", "marginals": [[1.0]]}))

@@ -5,13 +5,26 @@ region is a bounded polytope: every nonempty instance has an optimal
 vertex the oracle can find by enumerating basic solutions, and basis
 determinants are exact integers, which makes the singular filter safe.
 """
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import LoopRatioSimplex, random_lp, small_instance, whole_pattern_lp
+from helpers import (
+    FreshSolveSimplex,
+    LoopRatioSimplex,
+    random_lp,
+    small_instance,
+    whole_pattern_lp,
+    whole_pattern_shed,
+)
 from nortagrid import lp
 from nortagrid.errors import ValidationError
 from nortagrid.lp import LpProblem, solve_lp
+from nortagrid.twostage import RecourseSolver
 
 
 class TestExamples:
@@ -167,6 +180,168 @@ class TestRatioTestMatchesRowLoop:
         assert len(made) == len(problems)
         assert sum(s.ties for s in made) > 0  # the tie-break was exercised
         assert {"optimal", "infeasible"} <= statuses
+
+
+def solve_with(simplex, prob):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp, "_Simplex", simplex)
+        return solve_lp(prob)
+
+
+@pytest.fixture
+def crash_spy(monkeypatch):
+    """Every simplex made while the test runs, with `accepted` (the crash
+    result) and `phases` (how many times the simplex loop ran)."""
+    made = []
+
+    class Spy(lp._Simplex):
+        def crash(self, basis):
+            self.accepted = super().crash(basis)
+            self.phases = 0
+            made.append(self)
+            return self.accepted
+
+        def _run(self, c, max_iter):
+            self.phases += 1
+            return super()._run(c, max_iter)
+
+    monkeypatch.setattr(lp, "_Simplex", Spy)
+    return made
+
+
+def crash_lp(basis=None):
+    """min -x0 - 2 x1 + x2 on [0, 10]^3 with x0 + x1 <= 4 (slack column
+    3) and x1 + x2 >= 1 (slack column 4); optimum -8 at x1 = 4. From the
+    start point x = 0, basis [3, 1] is feasible (s0 = 3, x1 = 1), [3, 4]
+    is not (s1 = 1 above its bound 0), and x0 and s0 are equal columns."""
+    prob = LpProblem.with_bounds([-1.0, -2.0, 1.0], np.zeros(3), np.full(3, 10.0))
+    prob.add_row({0: 1.0, 1: 1.0}, "<=", 4.0)
+    prob.add_row({1: 1.0, 2: 1.0}, ">=", 1.0)
+    prob.basis = basis
+    return prob
+
+
+class TestCrashBasis:
+    def test_feasible_basis_skips_phase_1(self, crash_spy):
+        sol = solve_lp(crash_lp([3, 1]))
+        assert [(s.accepted, s.phases) for s in crash_spy] == [(True, 1)]
+        assert sol.status == "optimal" and sol.objective == -8.0
+
+    @pytest.mark.parametrize("basis", [
+        [3], [3, 1, 4], [3, 3], [-1, 3], [3, 7], [3, 5], [0, 3], [3, 4], [3.0, 1.0],
+    ], ids=["short", "long", "duplicate", "negative", "out-of-range", "artificial",
+            "singular", "infeasible", "not-integer"])
+    def test_bad_basis_falls_back_to_phase_1(self, crash_spy, basis):
+        plain = solve_lp(crash_lp())
+        sol = solve_lp(crash_lp(basis))
+        assert [(s.accepted, s.phases) for s in crash_spy] == [(False, 2), (False, 2)]
+        assert (sol.status, sol.objective, sol.iterations) == (
+            plain.status, plain.objective, plain.iterations)
+        assert sol.x.tobytes() == plain.x.tobytes()
+
+    def test_numerically_singular_basis_falls_back(self, crash_spy):
+        # Column 2 is 0.3 a + 0.7 b rounded: inv succeeds, but its B^-1
+        # holds entries near 2^53 and B^-1 B is far from the identity.
+        # With rhs 0 the basic values are 0, so only that check rejects it.
+        a, b = np.array([0.64, 0.27, 0.04]), np.array([0.02, 0.81, 0.91])
+        cols = np.column_stack([a, b, 0.3 * a + 0.7 * b])
+        prob = LpProblem.with_bounds([-1.0, -1.0, -1.0], np.zeros(3), np.ones(3))
+        for row in cols:
+            prob.add_row(dict(enumerate(row)), "<=", 0.0)
+        plain = solve_lp(prob)
+        prob.basis = [0, 1, 2]
+        sol = solve_lp(prob)
+        assert [s.accepted for s in crash_spy] == [False, False]
+        assert sol.status == "optimal" and sol.objective == plain.objective
+
+    def test_infeasible_lp_stays_infeasible_from_any_basis(self, crash_spy):
+        for basis in itertools.permutations(range(5), 2):  # artificials included
+            prob = LpProblem.with_bounds([0.0], [0.0], [10.0])
+            prob.add_row({0: 1.0}, ">=", 2.0)
+            prob.add_row({0: 1.0}, "<=", 1.0)
+            prob.basis = list(basis)
+            assert solve_lp(prob).status == "infeasible", basis
+        assert len(crash_spy) == 20 and not any(s.accepted for s in crash_spy)
+
+    def test_recourse_component_lps_start_at_their_crash_basis(self, monkeypatch, crash_spy):
+        probs = []
+        real = lp.solve_lp
+        monkeypatch.setattr(lp, "solve_lp", lambda prob: probs.append(prob) or real(prob))
+        rng = np.random.default_rng(3)
+        for seed in range(20):
+            grid, _ = small_instance(seed)
+            solver = RecourseSolver(grid)
+            for _ in range(4):
+                solver.shed_for_topology(rng.random(grid.n_buses) < 0.8)
+        assert len(probs) == len(crash_spy) >= 40
+        assert all(s.accepted and s.phases == 1 for s in crash_spy)
+        for prob in probs:
+            phase1 = real(dataclasses.replace(prob, basis=None))
+            assert real(prob).objective == pytest.approx(phase1.objective, rel=1e-9)
+
+
+@st.composite
+def bounded_lps(draw):
+    """Integer data on finite boxes (some variables fixed), with either
+    no start basis or m distinct non-artificial columns, which the crash
+    may accept or reject."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+
+    def ints(lo, hi, size):
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)),
+                        dtype=float)
+
+    lower = ints(-3, 0, n)
+    prob = LpProblem.with_bounds(ints(-9, 9, n), lower, lower + ints(0, 6, n))
+    for _ in range(m):
+        prob.add_row(dict(enumerate(ints(-4, 4, n))), draw(st.sampled_from(lp._SENSES)),
+                     draw(st.integers(-6, 6)))
+    prob.basis = draw(st.none() | st.permutations(range(n + m)).map(lambda p: p[:m]))
+    return prob
+
+
+class TestInverseMatchesFreshSolves:
+    """The kept, eta-updated B^-1 against a simplex that solves with the
+    basis columns afresh at every step."""
+
+    @staticmethod
+    def check(prob, kept_simplex=lp._Simplex):
+        kept = solve_with(kept_simplex, prob)
+        fresh = solve_with(FreshSolveSimplex, prob)
+        assert kept.status == fresh.status
+        if fresh.status == "optimal":
+            assert kept.objective == pytest.approx(fresh.objective, rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bounded_lps())
+    def test_random_bounded_lps(self, prob):
+        self.check(prob)
+
+    def test_runs_past_the_refactor_interval(self):
+        interval_refactors = []
+
+        class Counting(lp._Simplex):
+            def _refactor(self):
+                interval_refactors.append(self.updates >= 2 * self.m)
+                super()._refactor()
+
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            self.check(degenerate_lp(rng, n=12, m=int(rng.integers(1, 3))), Counting)
+        assert sum(interval_refactors) >= 10
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.data())
+    def test_recourse_matches_whole_grid_lp(self, seed, data):
+        grid, _ = small_instance(seed)
+        solver = RecourseSolver(grid)
+        for _ in range(3):
+            z = np.array(data.draw(st.lists(st.booleans(), min_size=grid.n_buses,
+                                            max_size=grid.n_buses)), dtype=bool)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(lp, "_Simplex", FreshSolveSimplex)
+                want = whole_pattern_shed(grid, z)
+            assert solver.shed_for_topology(z) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 class TestValidation:

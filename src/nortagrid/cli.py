@@ -24,10 +24,11 @@ import sys
 
 import numpy as np
 
-from . import __version__, norta
+from . import __version__, lp, norta
 from .errors import NumericalError, ResourceLimitError, ValidationError
-from .grid import (GridInstance, HardeningPlan, InstanceSpec, _field, _is_real, _read_json,
-                   generate_instance, load_grid, load_scenarios, save_grid, save_scenarios)
+from .grid import (BUDGET_SLACK, GridInstance, HardeningPlan, InstanceSpec, _field, _is_real,
+                   _read_json, generate_instance, load_grid, load_scenarios, save_grid,
+                   save_scenarios)
 from .norta import FitReport, NortaModel, PairMatch, ScenarioSet, estimate_inputs
 from .stats import EmpiricalMarginal, emd, spread
 from .twostage import (STAT_ROWS, RecourseSolver, TwoStageProblem, budget_sweep,
@@ -242,7 +243,7 @@ def cmd_fit(args):
         "match_tol": args.match_tol,
         "bisect_max_iter": args.bisect_max_iter,
         "gh_degree": args.degree,
-        "psd_tol": 1e-9,
+        "psd_tol": norta.PSD_TOL,
     })
     payload = {
         "format": "nortagrid-model",
@@ -318,7 +319,7 @@ def cmd_validate(args):
 
 
 def _parse_budgets(args, grid):
-    if getattr(args, "budgets", None):
+    if getattr(args, "budgets", None) is not None:
         try:
             budgets = [float(tok) for tok in args.budgets.split(",") if tok.strip()]
         except ValueError as exc:
@@ -329,7 +330,7 @@ def _parse_budgets(args, grid):
         budgets = [float(args.budget)]
     else:
         budgets = [grid.budget]
-    flag = "--budgets" if getattr(args, "budgets", None) else "--budget"
+    flag = "--budgets" if getattr(args, "budgets", None) is not None else "--budget"
     for b in budgets:
         if not 0 <= b < math.inf:  # also rejects nan
             raise ValidationError(f"{flag}: each budget must be a finite number >= 0, got {b!r}")
@@ -368,7 +369,7 @@ def cmd_solve(args):
         _say(args, f"solve: budget {b:g} -> SO estimate {so:.6g}, "
                    f"plan cost {entries[-1]['cost']:g}")
     manifest = _manifest(args, "solve", [args.grid, args.scenarios], tolerances={
-        "lp_feas_tol": 1e-9, "lp_opt_tol": 1e-9, "budget_slack": 1e-9,
+        "lp_feas_tol": lp.FEAS_TOL, "lp_opt_tol": lp.OPT_TOL, "budget_slack": BUDGET_SLACK,
     })
     payload = {
         "format": "nortagrid-plan",
@@ -392,7 +393,7 @@ def cmd_evaluate(args):
         rep.so_estimate = so
         reports.append(rep)
     manifest = _manifest(args, "evaluate", [args.grid, args.plan, args.synthetic],
-                         tolerances={"lp_feas_tol": 1e-9, "lp_opt_tol": 1e-9})
+                         tolerances={"lp_feas_tol": lp.FEAS_TOL, "lp_opt_tol": lp.OPT_TOL})
     _emit_reports(args, reports, manifest)
 
 
@@ -409,8 +410,8 @@ def cmd_sweep(args):
                    f"OOS mean {rep.mean:.6g}")
     manifest = _manifest(args, "sweep",
                          [args.grid, args.scenarios, args.synthetic],
-                         tolerances={"lp_feas_tol": 1e-9, "lp_opt_tol": 1e-9,
-                                     "budget_slack": 1e-9})
+                         tolerances={"lp_feas_tol": lp.FEAS_TOL, "lp_opt_tol": lp.OPT_TOL,
+                                     "budget_slack": BUDGET_SLACK})
     _emit_reports(args, reports, manifest)
 
 

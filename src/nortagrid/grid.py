@@ -39,6 +39,10 @@ __all__ = [
     "save_scenarios",
 ]
 
+# Slack on every budget comparison (plan feasibility, branch-and-bound,
+# greedy moves): a plan whose float cost sum meets the budget is feasible.
+BUDGET_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class Substation:
@@ -260,7 +264,7 @@ class HardeningPlan:
                     f"{grid.substation(sid).max_height}")
         cap = grid.budget if budget is None else budget
         c = self.cost(grid)
-        if c > cap + 1e-9:
+        if c > cap + BUDGET_SLACK:
             raise ValidationError(f"plan cost {c} exceeds budget {cap}")
         return self
 

@@ -5,22 +5,24 @@ statuses (optimal / infeasible / unbounded / iteration-limit), bound
 handling on every variable, and bit-reproducible pivoting, which is the
 whole point of carrying our own solver instead of shelling out.
 
-Internals: each constraint row gets a slack column whose bounds encode
-the sense, plus an artificial column. Nonbasic columns start at their
-lower bound, else their upper bound, else 0. A problem that names a
-start basis (`LpProblem.basis`) goes straight to phase 2 from it when
-that basis is well-formed, nonsingular and primal feasible within
-feas_tol; otherwise phase 1 starts from the all-artificial basis and
-drives the artificials out before phase 2. The basis inverse is kept
-explicitly: each basis change applies a product-form (eta) update, and
-B^-1 is refactorized from scratch after 2m updates and before a phase's
-final point is read. Entering variables follow Dantzig's rule until the
-objective stalls for 100 iterations, then Bland's rule takes over to
-guarantee termination.
+An `LpProblem` keeps its constraints as one dense block from the model
+to the solver (see its docstring). Internals: each constraint row gets a
+slack column whose bounds encode the sense, plus an artificial column.
+Nonbasic columns start at their lower bound, else their upper bound,
+else 0. A problem that names a start basis (`LpProblem.basis`) goes
+straight to phase 2 from it when that basis is well-formed, nonsingular
+and primal feasible within FEAS_TOL; otherwise phase 1 starts from the
+all-artificial basis and drives the artificials out before phase 2; a
+point whose reduced costs are all within OPT_TOL is optimal. The basis
+inverse is kept explicitly: each basis change applies a product-form
+(eta) update, and B^-1 is refactorized from scratch after 2m updates and
+before a phase's final point is read. Entering variables follow
+Dantzig's rule until the objective stalls for 100 iterations, then
+Bland's rule takes over to guarantee termination.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +43,10 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
 
+# Primal feasibility (crash basis, phase-1 exit) and reduced-cost tolerances.
+FEAS_TOL = 1e-9
+OPT_TOL = 1e-9
+
 _SENSES = ("<=", ">=", "==")
 _PIVOT_TOL = 1e-10
 _STALL_LIMIT = 100
@@ -48,22 +54,27 @@ _STALL_LIMIT = 100
 
 @dataclass
 class LpProblem:
-    """min c.x subject to row constraints and variable bounds.
+    """min c.x subject to a[i] x (senses[i]) rhs[i] and variable bounds.
 
-    Rows are (coeffs, sense, rhs) with coeffs a {column: value} dict;
-    bounds may be +-inf. `basis` optionally names a starting basis, one
-    column per row: j < n_vars is structural column j, n_vars + i is the
-    slack of row i. With every other column at its start value (lower
-    bound, else upper bound, else 0) it must be nonsingular and primal
-    feasible, or the solver ignores it and runs phase 1.
+    The rows are one dense block: `a` is m x n_vars, `senses` one of
+    "<=", ">=", "==" per row, `rhs` one float per row; bounds may be
+    +-inf. Build it whole, or from `with_bounds` (no rows) by `add_row`;
+    `validate` (run by solve_lp) checks either with add_row's checks.
+    `basis` optionally names a starting basis, one column per row: j <
+    n_vars is structural column j, n_vars + i is the slack of row i.
+    With every other column at its start value (lower bound, else upper
+    bound, else 0) it must be nonsingular and primal feasible, or the
+    solver ignores it and runs phase 1.
     """
 
     n_vars: int
     objective: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    rows: list = field(default_factory=list)
-    basis: list | None = None
+    a: np.ndarray
+    senses: np.ndarray
+    rhs: np.ndarray
+    basis: np.ndarray | list | None = None
 
     @classmethod
     def with_bounds(cls, objective, lower, upper):
@@ -72,23 +83,20 @@ class LpProblem:
         hi = np.asarray(upper, dtype=float)
         if not (c.shape == lo.shape == hi.shape) or c.ndim != 1:
             raise ValidationError("objective and bounds must be equal-length vectors")
-        return cls(n_vars=c.size, objective=c, lower=lo, upper=hi)
+        return cls(c.size, c, lo, hi, np.zeros((0, c.size)), np.array([], dtype=str), np.zeros(0))
 
     def add_row(self, coeffs, sense, rhs):
-        if sense not in _SENSES:
-            raise ValidationError(f"unknown row sense {sense!r}")
-        if not np.isfinite(rhs):
-            raise ValidationError("row rhs must be finite")
-        clean = {}
+        """Append row {column: value}; a rejected row changes nothing."""
+        row = np.zeros(self.n_vars)
         for col, val in coeffs.items():
             col = int(col)
             if not 0 <= col < self.n_vars:
                 raise ValidationError(f"row references unknown column {col}")
-            if not np.isfinite(val):
-                raise ValidationError("row coefficients must be finite")
-            if val != 0.0:
-                clean[col] = float(val)
-        self.rows.append((clean, sense, float(rhs)))
+            row[col] = val
+        a, senses, rhs = _check_rows(self.n_vars, row[None] + 0.0, [sense], [rhs])  # -0.0 -> +0.0
+        self.a = np.concatenate([self.a, a])
+        self.senses = np.concatenate([self.senses, senses])
+        self.rhs = np.concatenate([self.rhs, rhs])
 
     def validate(self):
         if not np.all(np.isfinite(self.objective)):
@@ -97,7 +105,25 @@ class LpProblem:
             raise ValidationError("bounds must not be NaN")
         if np.any(self.lower > self.upper):
             raise ValidationError("need lower <= upper for every variable")
+        self.a, self.senses, self.rhs = _check_rows(self.n_vars, self.a, self.senses, self.rhs)
         return self
+
+
+def _check_rows(n_vars, a, senses, rhs):
+    """(a, senses, rhs) as arrays, checked: a is (m, n_vars), one sense and
+    one rhs per row, every sense known, every number finite."""
+    a = np.asarray(a, dtype=float)
+    senses = np.asarray(senses, dtype=str)
+    rhs = np.asarray(rhs, dtype=float)
+    if a.ndim != 2 or a.shape[1] != n_vars or not senses.shape == rhs.shape == a.shape[:1]:
+        raise ValidationError(f"need an (m, {n_vars}) block and m senses and rhs values, got "
+                              f"shapes {a.shape}, {senses.shape}, {rhs.shape}")
+    unknown = senses[~np.isin(senses, _SENSES)]
+    if unknown.size:
+        raise ValidationError(f"unknown row sense {str(unknown[0])!r}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(rhs))):
+        raise ValidationError("row coefficients and rhs must be finite")
+    return a, senses, rhs
 
 
 @dataclass
@@ -110,31 +136,19 @@ class LpSolution:
 
 
 class _Simplex:
-    def __init__(self, prob: LpProblem, feas_tol, opt_tol):
-        self.feas_tol = feas_tol
-        self.opt_tol = opt_tol
+    def __init__(self, prob: LpProblem):
         n = prob.n_vars
-        m = len(prob.rows)
+        m = prob.rhs.size
         self.n, self.m = n, m
         self.ncols = n + 2 * m  # structural | slack | artificial
-        self.A = np.zeros((m, self.ncols))
-        self.b = np.zeros(m)
-        self.lo = np.full(self.ncols, -np.inf)
-        self.hi = np.full(self.ncols, np.inf)
-        self.lo[:n] = prob.lower
-        self.hi[:n] = prob.upper
-        for i, (coeffs, sense, rhs) in enumerate(prob.rows):
-            for col in sorted(coeffs):
-                self.A[i, col] = coeffs[col]
-            self.b[i] = rhs
-            s = n + i
-            self.A[i, s] = 1.0
-            if sense == "<=":
-                self.lo[s], self.hi[s] = 0.0, np.inf
-            elif sense == ">=":
-                self.lo[s], self.hi[s] = -np.inf, 0.0
-            else:
-                self.lo[s], self.hi[s] = 0.0, 0.0
+        self.A = np.hstack([prob.a, np.eye(m), np.zeros((m, m))])
+        self.b = prob.rhs
+        # Slack bounds encode the sense: <= is s >= 0, >= is s <= 0, == is
+        # s = 0; artificials are >= 0.
+        self.lo = np.concatenate([prob.lower, np.where(prob.senses == ">=", -np.inf, 0.0),
+                                  np.zeros(m)])
+        self.hi = np.concatenate([prob.upper, np.where(prob.senses == "<=", np.inf, 0.0),
+                                  np.full(m, np.inf)])
         self.art = n + m + np.arange(m)
         self.x = np.zeros(self.ncols)
         lo, hi = self.lo[:n + m], self.hi[:n + m]
@@ -142,8 +156,6 @@ class _Simplex:
         resid = self.b - self.A[:, :n + m] @ self.x[:n + m]
         sign = np.where(resid >= 0.0, 1.0, -1.0)
         self.A[np.arange(m), self.art] = sign
-        self.lo[self.art] = 0.0
-        self.hi[self.art] = np.inf
         self.x[self.art] = np.abs(resid)
         self.basis = self.art.copy()
         self.in_basis = np.zeros(self.ncols, dtype=bool)
@@ -218,8 +230,8 @@ class _Simplex:
         x_n = self.x[:self.n + self.m].copy()
         x_n[cols] = 0.0
         xb = binv @ (self.b - self.A[:, :self.n + self.m] @ x_n)
-        if not (np.all(np.isfinite(xb)) and np.all(xb >= self.lo[cols] - self.feas_tol)
-                and np.all(xb <= self.hi[cols] + self.feas_tol)):
+        if not (np.all(np.isfinite(xb)) and np.all(xb >= self.lo[cols] - FEAS_TOL)
+                and np.all(xb <= self.hi[cols] + FEAS_TOL)):
             return False
         self.lo[self.art] = self.hi[self.art] = self.x[self.art] = 0.0
         self.in_basis[self.basis] = False
@@ -229,21 +241,17 @@ class _Simplex:
         self.Binv = binv
         return True
 
-    def _duals(self, c):
-        return self._btran(c[self.basis])
-
     # -- pivoting ----------------------------------------------------
 
     def _entering(self, c, bland):
-        y = self._duals(c)
-        d = c - y @ self.A
+        d = c - self._btran(c[self.basis]) @ self.A
         fixed = self.lo == self.hi
         at_lo = self.x == self.lo
         at_hi = self.x == self.hi
         free = np.isinf(self.lo) & np.isinf(self.hi)
         ok = ~self.in_basis & ~fixed
-        up = ok & (at_lo | free) & (d < -self.opt_tol)
-        dn = ok & (at_hi | free) & (d > self.opt_tol)
+        up = ok & (at_lo | free) & (d < -OPT_TOL)
+        dn = ok & (at_hi | free) & (d > OPT_TOL)
         if not (up.any() or dn.any()):
             return None, 0
         if bland:
@@ -353,7 +361,7 @@ class _Simplex:
         self._refresh()
 
 
-def solve_lp(prob: LpProblem, *, max_iter=None, feas_tol=1e-9, opt_tol=1e-9):
+def solve_lp(prob: LpProblem, *, max_iter=None):
     """Solve an LpProblem; see module docstring for the method.
 
     max_iter defaults to 50 * (rows + columns), counted across both
@@ -365,11 +373,10 @@ def solve_lp(prob: LpProblem, *, max_iter=None, feas_tol=1e-9, opt_tol=1e-9):
     raises NumericalError instead of lying.
     """
     prob.validate()
-    m = len(prob.rows)
     n = prob.n_vars
     if max_iter is None:
-        max_iter = 50 * (m + n)
-    sx = _Simplex(prob, feas_tol, opt_tol)
+        max_iter = 50 * (prob.rhs.size + n)
+    sx = _Simplex(prob)
     if not sx.crash(prob.basis):
         c1 = np.zeros(sx.ncols)
         c1[sx.art] = 1.0
@@ -377,7 +384,7 @@ def solve_lp(prob: LpProblem, *, max_iter=None, feas_tol=1e-9, opt_tol=1e-9):
         if status == ITERATION_LIMIT:
             return LpSolution(ITERATION_LIMIT, None, None, np.inf, sx.iterations)
         phase1 = float(c1 @ sx.x)
-        if phase1 > feas_tol * (1.0 + float(np.abs(sx.b).max(initial=0.0))) * 10.0:
+        if phase1 > FEAS_TOL * (1.0 + float(np.abs(sx.b).max(initial=0.0))) * 10.0:
             return LpSolution(INFEASIBLE, None, None, phase1, sx.iterations)
         sx.drive_out_artificials()
     c2 = np.zeros(sx.ncols)
@@ -396,15 +403,7 @@ def solve_lp(prob: LpProblem, *, max_iter=None, feas_tol=1e-9, opt_tol=1e-9):
 
 def _max_infeas(prob: LpProblem, x):
     """Maximum violation of rows and bounds at x."""
-    worst = 0.0
-    worst = max(worst, float(np.max(prob.lower - x, initial=0.0)))
-    worst = max(worst, float(np.max(x - prob.upper, initial=0.0)))
-    for coeffs, sense, rhs in prob.rows:
-        ax = sum(val * x[col] for col, val in coeffs.items())
-        if sense == "<=":
-            worst = max(worst, ax - rhs)
-        elif sense == ">=":
-            worst = max(worst, rhs - ax)
-        else:
-            worst = max(worst, abs(ax - rhs))
-    return worst
+    r = prob.a @ x - prob.rhs
+    row = np.where(prob.senses == "<=", r, np.where(prob.senses == ">=", -r, np.abs(r)))
+    return float(max(np.max(prob.lower - x, initial=0.0), np.max(x - prob.upper, initial=0.0),
+                     np.max(row, initial=0.0)))

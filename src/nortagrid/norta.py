@@ -53,6 +53,10 @@ __all__ = [
     "solve_rho_z",
 ]
 
+# nearest_correlation stops once a sweep moves the matrix by at most
+# PSD_TOL (Frobenius), or after _PSD_MAX_ITER sweeps.
+PSD_TOL = 1e-9
+_PSD_MAX_ITER = 1000
 _GH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _SQRT2 = math.sqrt(2.0)
 # Columns per gathered (_BLOCK, degree, degree) block: 128 KB at degree 64.
@@ -429,12 +433,12 @@ def solve_rho_z(marginal_i, marginal_j, rho_x_target, *, tol=1e-4,
     return RhoMatch(float(rho[0]), float(residual[0]), bool(clamped[0]))
 
 
-def nearest_correlation(a, *, tol=1e-9, max_iter=1000):
+def nearest_correlation(a):
     """Nearest correlation matrix by alternating projections.
 
     Higham's method with a Dykstra correction on the PSD projection,
     alternating with the unit-diagonal projection, stopping when the
-    Frobenius change drops below tol. A PSD input is returned unchanged
+    Frobenius change drops to PSD_TOL. A PSD input is returned unchanged
     after the first sweep. The result is exactly unit-diagonal and has
     smallest eigenvalue >= -1e-8 (a final clip-and-rescale guards the
     rare non-converged case).
@@ -444,7 +448,7 @@ def nearest_correlation(a, *, tol=1e-9, max_iter=1000):
     if n == 0:
         return y
     ds = np.zeros_like(y)
-    for _ in range(max_iter):
+    for _ in range(_PSD_MAX_ITER):
         r = y - ds
         w, v = np.linalg.eigh((r + r.T) / 2.0)
         x = (v * np.maximum(w, 0.0)) @ v.T
@@ -453,7 +457,7 @@ def nearest_correlation(a, *, tol=1e-9, max_iter=1000):
         np.fill_diagonal(y_new, 1.0)
         delta = float(np.linalg.norm(y_new - y))
         y = y_new
-        if delta <= tol:
+        if delta <= PSD_TOL:
             break
     np.fill_diagonal(y, 1.0)
     w = np.linalg.eigvalsh(y)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lp
 from .errors import RecourseError, ResourceLimitError, ValidationError
-from .grid import GridInstance, HardeningPlan, _components_idx, _survival
+from .grid import BUDGET_SLACK, GridInstance, HardeningPlan, _components_idx, _survival
 from .norta import ScenarioSet
 from .stats import spread
 
@@ -59,11 +59,8 @@ class TwoStageProblem:
     first_stage_cost: np.ndarray | None = None
 
     def __post_init__(self):
+        _check_columns(self.grid, self.scenarios, "scenario")
         nf = len(self.grid.flooded_ids)
-        if self.scenarios.dim != nf:
-            raise ValidationError(
-                f"scenario width {self.scenarios.dim} does not match "
-                f"{nf} flooded substations")
         if self.first_stage_cost is not None:
             c = np.asarray(self.first_stage_cost, dtype=float)
             if c.shape != (nf,):
@@ -76,6 +73,19 @@ class TwoStageProblem:
         if self.first_stage_cost is None:
             return 0.0
         return float(self.first_stage_cost @ np.asarray(heights))
+
+
+def _check_columns(grid, scenarios, what):
+    """Scenario columns must be the grid's flooded substations: as many,
+    and, when the set names its column ids, the same ids in order."""
+    ids = grid.flooded_ids
+    if scenarios.dim != len(ids):
+        raise ValidationError(
+            f"{what} width {scenarios.dim} does not match {len(ids)} flooded substations")
+    if scenarios.columns is not None and tuple(scenarios.columns) != ids:
+        raise ValidationError(
+            f"{what} columns ({', '.join(map(str, scenarios.columns))}) do not match "
+            f"the grid's flooded substations ({', '.join(map(str, ids))})")
 
 
 def _survival_key(z):
@@ -123,26 +133,28 @@ class RecourseSolver:
         hi = np.concatenate([g.demand[buses], g.gen_max[buses], np.full(nb, math.pi), cap])
         ref = idx_a + int(np.argmin(g.bus_ids[buses]))
         lo[ref] = hi[ref] = 0.0
-        prob = lp.LpProblem.with_bounds(c, lo, hi)
+        # Rows: balance per bus (served - generated + flow out - flow in
+        # = 0), then flow per branch (flow - b (angle_head - angle_tail) = 0).
+        k, r = np.arange(nb), np.arange(nr)
+        heads = np.searchsorted(buses, g.head_idx[branches])
+        tails = np.searchsorted(buses, g.tail_idx[branches])
+        b = self._susceptance[branches]
+        a = np.zeros((nb + nr, 3 * nb + nr))
+        a[k, k] = 1.0
+        a[k, idx_g + k] = -1.0
+        a[heads, idx_e + r] = 1.0
+        a[tails, idx_e + r] = -1.0
+        a[nb + r, idx_e + r] = 1.0
+        a[nb + r, idx_a + heads] = -b
+        a[nb + r, idx_a + tails] = b
         # Start basis at x = 0: the slack of balance row 0, every other
         # angle and every flow. Eliminating the flows leaves the reduced
         # Laplacian beside e_0, which is nonsingular on a connected
         # component since e_0 is not in the range of the Laplacian.
-        prob.basis = ([prob.n_vars] + [k for k in range(idx_a, idx_e) if k != ref]
-                      + list(range(idx_e, idx_e + nr)))
-        pos = {j: k for k, j in enumerate(buses.tolist())}
-        heads = [pos[j] for j in g.head_idx[branches].tolist()]
-        tails = [pos[j] for j in g.tail_idx[branches].tolist()]
-        balance = [{k: 1.0, idx_g + k: -1.0} for k in range(nb)]
-        for r in range(nr):
-            balance[heads[r]][idx_e + r] = 1.0
-            balance[tails[r]][idx_e + r] = -1.0
-        for coeffs in balance:
-            prob.add_row(coeffs, "==", 0.0)
-        for r, b in enumerate(self._susceptance[branches].tolist()):
-            prob.add_row({idx_e + r: 1.0, idx_a + heads[r]: -b, idx_a + tails[r]: b},
-                         "==", 0.0)
-        return prob
+        basis = np.concatenate([[c.size], np.delete(np.arange(idx_a, idx_e), ref - idx_a),
+                                idx_e + r])
+        return lp.LpProblem(c.size, c, lo, hi, a, np.full(nb + nr, "=="), np.zeros(nb + nr),
+                            basis)
 
     def _component_x(self, buses, branches):
         """Optimal LP point of one energized component, cached by its bus mask."""
@@ -279,8 +291,8 @@ def solve_first_stage(problem: TwoStageProblem, budget=None, *,
     height, heights ascending from 0 up to min(max_height, worst
     scenario height) -- taller protection is dominated. The node bound
     hardens each undecided substation to the tallest height up to that
-    cap whose own cost fits the budget left (with the branching 1e-9
-    slack, so no height the search would try is left out); pruning on
+    cap whose own cost fits the budget left (with the branching
+    BUDGET_SLACK, so no height the search would try is left out); pruning on
     bound > incumbent is exact whenever shed is non-increasing in
     protection, which holds for the capacity-adequate instances the
     generator emits (see generate_instance). Pruning is strict so tying
@@ -310,7 +322,7 @@ def solve_first_stage(problem: TwoStageProblem, budget=None, *,
         # Costs rise with height, so the affordable heights are 1..count.
         rest = order[depth:]
         h = x.copy()
-        h[rest] = np.count_nonzero(cost + level[rest, 1:] <= budget + 1e-9, axis=1)
+        h[rest] = np.count_nonzero(cost + level[rest, 1:] <= budget + BUDGET_SLACK, axis=1)
         return h
 
     def dfs(depth, cost):
@@ -336,7 +348,7 @@ def solve_first_stage(problem: TwoStageProblem, budget=None, *,
         i = order[depth]
         for h in range(caps[i] + 1):
             step = level[i, h]
-            if cost + step > budget + 1e-9:
+            if cost + step > budget + BUDGET_SLACK:
                 break
             x[i] = h
             dfs(depth + 1, cost + step)
@@ -375,7 +387,7 @@ def greedy_first_stage(problem: TwoStageProblem, budget=None, *, solver=None):
         for i in range(nf):
             for h in range(x[i] + 1, caps[i] + 1):
                 extra = level[i, h] - level[i, x[i]]
-                if spent + extra > budget + 1e-9:
+                if spent + extra > budget + BUDGET_SLACK:
                     break
                 old = x[i]
                 x[i] = h
@@ -439,10 +451,7 @@ def evaluate_oos(problem: TwoStageProblem, plan: HardeningPlan,
     spread statistics are stats.spread of the raw shed sample.
     """
     grid = problem.grid
-    nf = len(grid.flooded_ids)
-    if synthetic.dim != nf:
-        raise ValidationError(
-            f"synthetic width {synthetic.dim} does not match {nf} flooded substations")
+    _check_columns(grid, synthetic, "synthetic")
     plan.check_feasible(grid, budget=math.inf)
     solver = solver or RecourseSolver(grid)
     sheds = np.array(solver.sheds(plan.heights, synthetic.scenarios))
@@ -468,6 +477,7 @@ def budget_sweep(problem: TwoStageProblem, budgets, synthetic: ScenarioSet,
     for b in budgets:
         _check_budget(b)
     _check_node_budget(node_budget)
+    _check_columns(problem.grid, synthetic, "synthetic")
     solver = RecourseSolver(problem.grid)
     reports = []
     for budget in sorted(budgets):

@@ -294,6 +294,49 @@ def whole_pattern_lp(grid, z):
     return prob, (idx_s, idx_g, idx_a, idx_e)
 
 
+def dict_row_component_lp(solver, buses, branches):
+    """`RecourseSolver._component_lp` built the row-by-row way: one
+    {column: value} dict per balance and flow row, appended by add_row.
+    The dense block the solver builds must equal it byte for byte."""
+    g = solver.grid
+    nb, nr = len(buses), len(branches)
+    idx_g, idx_a, idx_e = nb, 2 * nb, 3 * nb
+    c = np.zeros(3 * nb + nr)
+    c[:nb] = -1.0
+    cap = np.array([r.capacity for r in g.branches])[branches]
+    lo = np.concatenate([np.zeros(2 * nb), np.full(nb, -math.pi), -cap])
+    hi = np.concatenate([g.demand[buses], g.gen_max[buses], np.full(nb, math.pi), cap])
+    ref = idx_a + int(np.argmin(g.bus_ids[buses]))
+    lo[ref] = hi[ref] = 0.0
+    prob = LpProblem.with_bounds(c, lo, hi)
+    prob.basis = ([prob.n_vars] + [k for k in range(idx_a, idx_e) if k != ref]
+                  + list(range(idx_e, idx_e + nr)))
+    pos = {j: k for k, j in enumerate(buses.tolist())}
+    heads = [pos[j] for j in g.head_idx[branches].tolist()]
+    tails = [pos[j] for j in g.tail_idx[branches].tolist()]
+    balance = [{k: 1.0, idx_g + k: -1.0} for k in range(nb)]
+    for r in range(nr):
+        balance[heads[r]][idx_e + r] = 1.0
+        balance[tails[r]][idx_e + r] = -1.0
+    for coeffs in balance:
+        prob.add_row(coeffs, "==", 0.0)
+    for r in range(nr):
+        b = g.branches[branches[r]].susceptance
+        prob.add_row({idx_e + r: 1.0, idx_a + heads[r]: -b, idx_a + tails[r]: b}, "==", 0.0)
+    return prob
+
+
+def max_infeasibility_by_rows(prob, x):
+    """Largest row or bound violation at x, one row at a time."""
+    worst = max(0.0, float(np.max(prob.lower - x, initial=0.0)),
+                float(np.max(x - prob.upper, initial=0.0)))
+    for row, sense, rhs in zip(prob.a, prob.senses, prob.rhs):
+        ax = sum(float(v) * float(x[j]) for j, v in enumerate(row) if v != 0.0)
+        viol = {"<=": ax - rhs, ">=": rhs - ax, "==": abs(ax - rhs)}[str(sense)]
+        worst = max(worst, viol)
+    return worst
+
+
 def whole_pattern_shed(grid, z):
     """Shed of survival pattern z from the whole-grid LP."""
     prob, (idx_s, *_) = whole_pattern_lp(grid, z)

@@ -211,6 +211,41 @@ class TestCliErrors:
         assert "budget" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["solve", "sweep"])
+    @pytest.mark.parametrize("value", ["", " ", ","])
+    def test_empty_budget_list(self, workdir, tmp_path, capsys, verb, value):
+        # An empty --budgets used to fall back to the grid's budget and exit 0.
+        inputs = [workdir / "grid.json", workdir / "scen.csv"]
+        if verb == "sweep":
+            inputs.append(workdir / "synth.csv")
+        out = tmp_path / "out.json"
+        assert run(verb, *inputs, "--budgets", value, "--out", out) == 2
+        assert "--budgets" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb, relabeled", [
+        ("solve", "scen.csv"), ("sweep", "scen.csv"), ("sweep", "synth.csv"),
+        ("evaluate", "synth.csv"),
+    ])
+    @pytest.mark.parametrize("relabel", [lambda ids: [i + 100 for i in ids], reversed],
+                             ids=["renamed", "reordered"])
+    def test_scenario_columns_must_be_the_flooded_substations(
+            self, workdir, tmp_path, capsys, verb, relabeled, relabel):
+        # Only the width was checked: both headers used to exit 0.
+        header, *body = (workdir / relabeled).read_text().splitlines()
+        ids = [int(c) for c in header.split(",")]
+        (tmp_path / relabeled).write_text(
+            "\n".join([",".join(str(i) for i in relabel(ids)), *body]) + "\n")
+        paths = {name: (tmp_path if name == relabeled else workdir) / name
+                 for name in ("scen.csv", "synth.csv")}
+        inputs = {"solve": [paths["scen.csv"], "--budgets", "0,4"],
+                  "sweep": [paths["scen.csv"], paths["synth.csv"], "--budgets", "0,4"],
+                  "evaluate": [workdir / "plans.json", paths["synth.csv"]]}[verb]
+        out = tmp_path / "out.json"
+        assert run(verb, workdir / "grid.json", *inputs, "--out", out) == 2
+        assert "flooded substations (0, 1, 2)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_grid_budget(self, workdir, tmp_path, capsys):
         data = json.loads((workdir / "grid.json").read_text())
         data["budget"] = float("nan")

@@ -6,6 +6,7 @@ vertex the oracle can find by enumerating basic solutions, and basis
 determinants are exact integers, which makes the singular filter safe.
 """
 import dataclasses
+import inspect
 import itertools
 
 import numpy as np
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from helpers import (
     FreshSolveSimplex,
     LoopRatioSimplex,
+    dict_row_component_lp,
+    max_infeasibility_by_rows,
     random_lp,
     small_instance,
     whole_pattern_lp,
@@ -373,3 +376,98 @@ class TestValidation:
         prob = LpProblem.with_bounds([1.0], [0.0], [1.0])
         with pytest.raises(ValidationError):
             prob.add_row({0: 1.0}, "<=", np.inf)
+
+
+def block_lp():
+    """min -x0 - x1 on [0, 4]^2 with x0 + x1 <= 3 and x0 - x1 == 1,
+    passed as one block."""
+    return LpProblem(2, np.array([-1.0, -1.0]), np.zeros(2), np.full(2, 4.0),
+                     np.array([[1.0, 1.0], [1.0, -1.0]]), np.array(["<=", "=="]),
+                     np.array([3.0, 1.0]))
+
+
+class TestDenseBlock:
+    def test_block_built_whole_solves_like_rows_added(self):
+        whole = solve_lp(block_lp())
+        prob = LpProblem.with_bounds([-1.0, -1.0], np.zeros(2), np.full(2, 4.0))
+        prob.add_row({0: 1.0, 1: 1.0}, "<=", 3.0)
+        prob.add_row({0: 1.0, 1: -1.0}, "==", 1.0)
+        rows = solve_lp(prob)
+        assert whole.status == rows.status == "optimal" and whole.objective == -3.0
+        assert whole.x.tobytes() == rows.x.tobytes()
+        assert [str(s) for s in prob.senses] == ["<=", "=="]
+
+    @pytest.mark.parametrize("change", [
+        {"a": np.ones((2, 3))}, {"a": np.ones(4)}, {"a": np.ones((3, 2))},
+        {"senses": np.array(["<="])}, {"rhs": np.array([3.0, 1.0, 0.0])},
+        {"senses": np.array(["<=", "="])}, {"senses": np.array(["<=", 1])},
+        {"a": np.array([[1.0, np.nan], [1.0, -1.0]])},
+        {"a": np.array([[1.0, 1.0], [-np.inf, -1.0]])},
+        {"rhs": np.array([3.0, np.inf])},
+    ], ids=["too-many-columns", "one-dimensional", "too-many-rows", "short-senses",
+            "long-rhs", "unknown-sense", "non-string-sense", "nan-entry", "inf-entry",
+            "inf-rhs"])
+    def test_directly_built_block_is_validated(self, change):
+        with pytest.raises(ValidationError):
+            solve_lp(dataclasses.replace(block_lp(), **change))
+
+    def test_rejected_row_leaves_the_block_unchanged(self):
+        prob = LpProblem.with_bounds([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+        prob.add_row({0: -0.0, 1: 2.0}, ">=", 1.0)
+        assert not np.signbit(prob.a).any()  # a zero coefficient is stored as +0.0
+        before = (prob.a.tobytes(), prob.senses.tobytes(), prob.rhs.tobytes())
+        for coeffs, sense, rhs in [({0: 1.0}, "<", 1.0), ({2: 1.0}, "<=", 1.0),
+                                   ({-1: 1.0}, "<=", 1.0), ({0: np.nan}, "<=", 1.0),
+                                   ({0: 1.0, 1: np.inf}, "==", 1.0), ({0: 1.0}, "<=", np.nan)]:
+            with pytest.raises(ValidationError):
+                prob.add_row(coeffs, sense, rhs)
+            assert (prob.a.tobytes(), prob.senses.tobytes(), prob.rhs.tobytes()) == before
+        assert prob.a.shape == (1, 2)
+
+    def test_tolerances_are_constants(self):
+        assert list(inspect.signature(solve_lp).parameters) == ["prob", "max_iter"]
+        assert lp.FEAS_TOL == lp.OPT_TOL == 1e-9
+
+    def test_max_infeasibility_matches_a_row_loop(self):
+        rng = np.random.default_rng(11)
+        checked = 0
+        for k in range(100):
+            prob, _ = random_lp(rng, n=int(rng.integers(2, 9)), m=int(rng.integers(1, 6)),
+                                with_eq=k % 2 == 0)
+            sol = solve_lp(prob)
+            if sol.status == "optimal":
+                assert sol.max_infeasibility == pytest.approx(
+                    max_infeasibility_by_rows(prob, sol.x), rel=0.0, abs=1e-12)
+            x = rng.uniform(-3.0, 12.0, prob.n_vars)  # violates rows and bounds alike
+            want = max_infeasibility_by_rows(prob, x)
+            assert lp._max_infeas(prob, x) == pytest.approx(want, rel=0.0, abs=1e-12)
+            checked += want > 0.0
+        assert checked >= 90
+
+    def test_component_block_matches_dict_rows(self, monkeypatch):
+        built = []
+        real = RecourseSolver._component_lp
+
+        def spy(solver, buses, branches):
+            prob = real(solver, buses, branches)
+            built.append((solver, buses, branches, prob))
+            return prob
+
+        monkeypatch.setattr(RecourseSolver, "_component_lp", spy)
+        rng = np.random.default_rng(5)
+        xs = []
+        for seed in range(30):
+            grid, _ = small_instance(seed)
+            solver = RecourseSolver(grid)
+            for _ in range(4):
+                solver.solve_topology(rng.random(grid.n_buses) < 0.8)
+            xs.extend(solver._component_cache.values())
+        assert len(built) == len(xs) >= 60
+        assert any(len(branches) > 0 for _, _, branches, _ in built)
+        for (solver, buses, branches, new), x in zip(built, xs):
+            old = dict_row_component_lp(solver, buses, branches)
+            for name in ("a", "senses", "rhs", "lower", "upper", "objective"):
+                assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), name
+            assert new.a.shape == old.a.shape
+            assert np.asarray(new.basis).tobytes() == np.asarray(old.basis).tobytes()
+            assert solve_lp(old).x.tobytes() == x.tobytes()

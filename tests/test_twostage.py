@@ -341,6 +341,24 @@ class TestTwoStageProblemValidation:
         with pytest.raises(ValidationError):
             TwoStageProblem(g, uniform_scenarios([[1.0, 2.0]], (0, 1)))
 
+    @pytest.mark.parametrize("columns", [(2, 1), (1, 3), (7, 8)],
+                             ids=["reordered", "one-renamed", "renamed"])
+    def test_scenario_column_ids_must_match(self, columns):
+        g = star_grid(2)
+        good = uniform_scenarios([[1.0, 2.0]], g.flooded_ids)
+        bad = uniform_scenarios([[1.0, 2.0]], columns)
+        with pytest.raises(ValidationError, match=r"flooded substations \(1, 2\)"):
+            TwoStageProblem(g, bad)
+        problem = TwoStageProblem(g, good)
+        with pytest.raises(ValidationError, match="synthetic columns"):
+            evaluate_oos(problem, HardeningPlan.zero(g), bad)
+        with pytest.raises(ValidationError, match="synthetic columns"):
+            # Checked before the first solve, which would hit the node budget.
+            budget_sweep(problem, [100.0], bad, node_budget=1)
+        # A set without column ids is checked by width alone.
+        unnamed = ScenarioSet.with_uniform_probs([[1.0, 2.0]])
+        assert evaluate_oos(TwoStageProblem(g, unnamed), HardeningPlan.zero(g), unnamed).m == 1
+
     def test_first_stage_cost_shape_and_sign(self):
         g = two_bus_grid()
         scen = uniform_scenarios([[1.0]], g.flooded_ids)

@@ -2,7 +2,11 @@
 
 Two buses, one branch: a safe generator bus feeding a flooded demand
 bus. The DC power-flow recourse decides how much demand survives once a
-scenario knocks substations out.
+scenario knocks substations out. Each energized component is first
+served in closed form, demand and generation matched in proportion; if
+those flows fit the line and angle bounds that point is optimal, and
+otherwise the component's LP runs on the simplex. Each case prints the
+route it took.
 
     python3 demos/recourse_anatomy.py
 """
@@ -21,10 +25,20 @@ def two_bus(susceptance):
     return GridInstance(subs, buses, branches, reference_bus=0, budget=100.0)
 
 
+def route(solver):
+    if solver.lp_solves:
+        return "simplex LP (a line or an angle binds)"
+    if solver.certified:
+        return "certified in closed form, no LP"
+    return "nothing to solve (no component has both demand and generation)"
+
+
 def show(tag, grid, z):
-    sol = RecourseSolver(grid).solve_topology(z)
+    solver = RecourseSolver(grid)
+    sol = solver.solve_topology(z)
     print(f"{tag:34s} shed {sol.shed:7.4f}   flow {float(sol.e[0]):7.4f}   "
           f"angles {np.round(sol.alpha, 4).tolist()}")
+    print(f"    route: {route(solver)}")
     return sol
 
 

@@ -62,6 +62,12 @@ def _manifest(args, command, inputs, tolerances=None):
     }
 
 
+def _work(solver):
+    """How each recourse component was solved: counts that repeat exactly
+    on a re-run, so they may sit in the embedded manifest."""
+    return {"certified_components": solver.certified, "component_lps": solver.lp_solves}
+
+
 def _write_sidecar(path, manifest):
     side = dict(manifest)
     side["artifact"] = str(path)
@@ -371,6 +377,7 @@ def cmd_solve(args):
     manifest = _manifest(args, "solve", [args.grid, args.scenarios], tolerances={
         "lp_feas_tol": lp.FEAS_TOL, "lp_opt_tol": lp.OPT_TOL, "budget_slack": BUDGET_SLACK,
     })
+    manifest["work"] = _work(solver)
     payload = {
         "format": "nortagrid-plan",
         "method": args.method,
@@ -394,6 +401,7 @@ def cmd_evaluate(args):
         reports.append(rep)
     manifest = _manifest(args, "evaluate", [args.grid, args.plan, args.synthetic],
                          tolerances={"lp_feas_tol": lp.FEAS_TOL, "lp_opt_tol": lp.OPT_TOL})
+    manifest["work"] = _work(solver)
     _emit_reports(args, reports, manifest)
 
 
@@ -404,7 +412,9 @@ def cmd_sweep(args):
     synth = load_scenarios(args.synthetic)
     problem = TwoStageProblem(grid, scen)
     budgets = _parse_budgets(args, grid)
-    reports = budget_sweep(problem, budgets, synth, node_budget=args.node_budget)
+    solver = RecourseSolver(grid)
+    reports = budget_sweep(problem, budgets, synth, node_budget=args.node_budget,
+                           solver=solver)
     for rep in reports:
         _say(args, f"sweep: budget {rep.budget:g} -> SO {rep.so_estimate:.6g}, "
                    f"OOS mean {rep.mean:.6g}")
@@ -412,6 +422,7 @@ def cmd_sweep(args):
                          [args.grid, args.scenarios, args.synthetic],
                          tolerances={"lp_feas_tol": lp.FEAS_TOL, "lp_opt_tol": lp.OPT_TOL,
                                      "budget_slack": BUDGET_SLACK})
+    manifest["work"] = _work(solver)
     _emit_reports(args, reports, manifest)
 
 

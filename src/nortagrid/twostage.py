@@ -10,6 +10,11 @@ given protection x and water height delta, a bus survives iff x >= delta
 scenario, split into one LP per energized component, and survival
 patterns and components can be cached and shared across every
 evaluation path (SAA, branch-and-bound bounds, out-of-sample sweeps).
+
+Most components never reach the simplex: the proportional copper-plate
+dispatch, which serves min(total demand, total generation), is checked
+against the line and angle bounds in closed form and, where it fits,
+is optimal. Only components where a line or an angle binds run an LP.
 """
 from __future__ import annotations
 
@@ -98,17 +103,22 @@ def _survival_key(z):
 
 
 class RecourseSolver:
-    """Solves recourse LPs one energized component at a time, memoizing
-    by survival pattern and by component.
+    """Solves recourse one energized component at a time, memoizing by
+    survival pattern and by component.
 
     The LP depends on the scenario and plan only through the per-bus
     survival vector z, so one grid needs at most 2^|flooded| distinct
     patterns no matter how many (plan, scenario) pairs are evaluated.
     The connected components of a pattern's operational network share
     no constraint (every balance row, flow row and angle reference stays
-    inside one), so each is its own LP, cached by its bus mask and
-    shared by every pattern that contains it; a component with no
-    generator or no demand serves exactly 0 and needs no LP.
+    inside one), so each is solved on its own, cached by its bus mask
+    and shared by every pattern that contains it; a component with no
+    generator or no demand serves exactly 0 and needs no solve.
+
+    Each component is first certified by its copper-plate point (see
+    _copper_plate_x); only where that point breaks a line or an angle
+    bound does the component's LP run. `certified` and `lp_solves`
+    count the two routes, one per component-cache miss.
     """
 
     def __init__(self, grid: GridInstance):
@@ -117,6 +127,15 @@ class RecourseSolver:
         self._capacity = np.array([r.capacity for r in grid.branches])
         self._shed_cache: dict[bytes, float] = {}
         self._component_cache: dict[bytes, np.ndarray] = {}
+        self.certified = 0
+        self.lp_solves = 0
+
+    def _layout(self, buses, branches):
+        """Position of the angle reference (the lowest-id bus) and of each
+        branch's head and tail within a component's sorted buses."""
+        g = self.grid
+        return (int(np.argmin(g.bus_ids[buses])), np.searchsorted(buses, g.head_idx[branches]),
+                np.searchsorted(buses, g.tail_idx[branches]))
 
     def _component_lp(self, buses, branches):
         """Max-served-demand LP of one energized component: its buses
@@ -131,13 +150,12 @@ class RecourseSolver:
         cap = self._capacity[branches]
         lo = np.concatenate([np.zeros(2 * nb), np.full(nb, -math.pi), -cap])
         hi = np.concatenate([g.demand[buses], g.gen_max[buses], np.full(nb, math.pi), cap])
-        ref = idx_a + int(np.argmin(g.bus_ids[buses]))
+        ref, heads, tails = self._layout(buses, branches)
+        ref += idx_a
         lo[ref] = hi[ref] = 0.0
         # Rows: balance per bus (served - generated + flow out - flow in
         # = 0), then flow per branch (flow - b (angle_head - angle_tail) = 0).
         k, r = np.arange(nb), np.arange(nr)
-        heads = np.searchsorted(buses, g.head_idx[branches])
-        tails = np.searchsorted(buses, g.tail_idx[branches])
         b = self._susceptance[branches]
         a = np.zeros((nb + nr, 3 * nb + nr))
         a[k, k] = 1.0
@@ -156,25 +174,74 @@ class RecourseSolver:
         return lp.LpProblem(c.size, c, lo, hi, a, np.full(nb + nr, "=="), np.zeros(nb + nr),
                             basis)
 
+    def _copper_plate_x(self, buses, branches):
+        """Optimal point of the component's LP in closed form, or None
+        where a line or an angle bound would cut it off.
+
+        Summing the balance rows cancels every flow, so any feasible
+        point has sum(s) = sum(g) <= G, and sum(s) <= D; no point serves
+        more than min(D, G), with D and G the component's total demand
+        and generation. The proportional dispatch (s = d and g = gmax D/G
+        when D <= G, else s = d G/D and g = gmax) serves exactly that.
+        Its angles solve the reduced Laplacian with the angle at the
+        lowest-id bus fixed to 0, as in the LP, and flows follow as
+        b (angle_head - angle_tail). If every flow is within its capacity
+        and every angle within [-pi, pi] (the LP's own bounds, compared
+        exactly), and every balance row holds within lp.FEAS_TOL (the
+        tolerance the simplex's answer is held to), the point is feasible
+        and attains the bound, so it is optimal. Columns are laid out as
+        in _component_lp.
+        """
+        g = self.grid
+        nb, nr = len(buses), len(branches)
+        d, gmax = g.demand[buses], g.gen_max[buses]
+        total_d, total_g = d.sum(), gmax.sum()
+        if total_d <= total_g:
+            s, gen = d, gmax * (total_d / total_g)
+        else:
+            s, gen = d * (total_g / total_d), gmax
+        ref, heads, tails = self._layout(buses, branches)
+        b = self._susceptance[branches]
+        incidence = np.zeros((nr, nb))
+        incidence[np.arange(nr), heads] = 1.0
+        incidence[np.arange(nr), tails] = -1.0
+        laplacian = incidence.T @ (b[:, None] * incidence)
+        free = np.arange(nb) != ref
+        theta = np.zeros(nb)
+        theta[free] = np.linalg.solve(laplacian[np.ix_(free, free)], (gen - s)[free])
+        e = b * (incidence @ theta)
+        residual = np.abs(s - gen + incidence.T @ e).max()
+        if (np.all(np.abs(e) <= self._capacity[branches]) and np.all(np.abs(theta) <= math.pi)
+                and residual <= lp.FEAS_TOL):
+            return np.concatenate([s, gen, theta, e])
+        return None
+
     def _component_x(self, buses, branches):
-        """Optimal LP point of one energized component, cached by its bus mask."""
+        """Optimal point of one energized component, cached by its bus
+        mask: the copper-plate point where it is certified, else the LP's."""
         mask = np.zeros(self.grid.n_buses, dtype=bool)
         mask[buses] = True
         key = _survival_key(mask)
         x = self._component_cache.get(key)
         if x is None:
-            sol = lp.solve_lp(self._component_lp(buses, branches))
-            if sol.status != lp.OPTIMAL:
-                raise RecourseError(
-                    f"recourse LP finished with status {sol.status} (energized "
-                    f"component of {len(buses)}/{self.grid.n_buses} buses)",
-                    lp_status=sol.status)
-            x = self._component_cache[key] = sol.x
+            x = self._copper_plate_x(buses, branches)
+            if x is not None:
+                self.certified += 1
+            else:
+                self.lp_solves += 1
+                sol = lp.solve_lp(self._component_lp(buses, branches))
+                if sol.status != lp.OPTIMAL:
+                    raise RecourseError(
+                        f"recourse LP finished with status {sol.status} (energized "
+                        f"component of {len(buses)}/{self.grid.n_buses} buses)",
+                        lp_status=sol.status)
+                x = sol.x
+            self._component_cache[key] = x
         return x
 
     def solve_topology(self, z) -> RecourseSolution:
         """Full recourse solution for one survival pattern, scattered from
-        its components' LP points; served demand is summed over the
+        its components' optimal points; served demand is summed over the
         components in order of their lowest bus index."""
         z = np.asarray(z, dtype=bool)
         g = self.grid
@@ -294,10 +361,16 @@ def solve_first_stage(problem: TwoStageProblem, budget=None, *,
     cap whose own cost fits the budget left (with the branching
     BUDGET_SLACK, so no height the search would try is left out); pruning on
     bound > incumbent is exact whenever shed is non-increasing in
-    protection, which holds for the capacity-adequate instances the
-    generator emits (see generate_instance). Pruning is strict so tying
-    optima survive; among them the lexicographically smallest height
-    vector is returned, with its SAA value.
+    protection. That is proven only where every component of both
+    patterns is certified by RecourseSolver's copper-plate point: shed
+    is then total demand minus the sum of min(D, G) over components,
+    protecting a bus only adds demand and generation to a component or
+    merges components, and min(D, G) is monotone and superadditive, so
+    the sum never falls. That covers the capacity-adequate instances
+    the generator emits by default (see generate_instance); where a line
+    or an angle binds it is assumed, not checked. Pruning is strict so
+    tying optima survive; among them the lexicographically smallest
+    height vector is returned, with its SAA value.
     """
     grid = problem.grid
     if budget is None:
@@ -464,7 +537,7 @@ def evaluate_oos(problem: TwoStageProblem, plan: HardeningPlan,
 
 
 def budget_sweep(problem: TwoStageProblem, budgets, synthetic: ScenarioSet,
-                 *, node_budget=10 ** 6):
+                 *, node_budget=10 ** 6, solver=None):
     """Solve-then-evaluate across budgets; reports ordered by budget.
 
     One recourse cache is shared across the whole sweep, so repeated
@@ -478,7 +551,7 @@ def budget_sweep(problem: TwoStageProblem, budgets, synthetic: ScenarioSet,
         _check_budget(b)
     _check_node_budget(node_budget)
     _check_columns(problem.grid, synthetic, "synthetic")
-    solver = RecourseSolver(problem.grid)
+    solver = solver or RecourseSolver(problem.grid)
     reports = []
     for budget in sorted(budgets):
         plan, so = solve_first_stage(problem, budget, node_budget=node_budget,

@@ -58,17 +58,18 @@ def two_bus_grid(susceptance=1.0, capacity=10.0, demand=5.0, budget=100.0):
     return GridInstance(subs, buses, branches, reference_bus=0, budget=budget)
 
 
-def star_grid(n_flooded=2, demand=5.0, budget=100.0):
+def star_grid(n_flooded=2, demand=5.0, budget=100.0, susceptance=1000.0):
     """Safe hub substation with a big generator, one demand bus per
     flooded substation, all wired to the hub. Shed is separable across
-    the flooded substations, so optima are easy to reason about."""
+    the flooded substations, so optima are easy to reason about. A
+    susceptance below demand / pi makes every spoke's angle bound bind."""
     subs = [Substation(0, False, 1.0, 1.0, 5)]
     buses = [Bus(0, 0, 0.0, 0.0, demand * n_flooded * 4.0)]
     branches = []
     for i in range(1, n_flooded + 1):
         subs.append(Substation(i, True, 1.0, 1.0, 5))
         buses.append(Bus(i, i, demand, 0.0, 0.0))
-        branches.append(Branch(i - 1, 0, i, 1000.0, demand * n_flooded * 4.0))
+        branches.append(Branch(i - 1, 0, i, susceptance, demand * n_flooded * 4.0))
     return GridInstance(subs, buses, branches, reference_bus=0, budget=budget)
 
 
@@ -335,6 +336,19 @@ def max_infeasibility_by_rows(prob, x):
         viol = {"<=": ax - rhs, ">=": rhs - ax, "==": abs(ax - rhs)}[str(sense)]
         worst = max(worst, viol)
     return worst
+
+
+def energized_components(grid, z):
+    """(buses, branches) index arrays of each component of pattern z that
+    has both demand and generation, the ones the recourse solver solves."""
+    z = np.asarray(z, dtype=bool)
+    both_on = z[grid.head_idx] & z[grid.tail_idx]
+    out = []
+    for comp in _components_idx(grid, z):
+        buses = np.array(comp)
+        if grid.demand[buses].any() and grid.gen_max[buses].any():
+            out.append((buses, np.flatnonzero(both_on & np.isin(grid.head_idx, buses))))
+    return out
 
 
 def whole_pattern_shed(grid, z):

@@ -151,6 +151,17 @@ class TestPipelineArtifacts:
         assert sweep["table"]["SO estimate"] == report["table"]["SO estimate"]
         assert sweep["table"]["mean"] == pytest.approx(report["table"]["mean"])
 
+    def test_recourse_work_in_manifests(self, workdir):
+        for name in ("plans.json", "report.json", "sweep.json"):
+            work = json.loads((workdir / name).read_text())["manifest"]["work"]
+            assert set(work) == {"certified_components", "component_lps"}, name
+            assert work["certified_components"] + work["component_lps"] > 0, name
+        # The counts repeat exactly, so a re-run stays byte-identical.
+        d = workdir
+        assert run("sweep", d / "grid.json", d / "scen.csv", d / "synth.csv",
+                   "--budgets", "0,4", "--out", d / "sweep_b.json", "--quiet") == 0
+        assert (d / "sweep_b.json").read_bytes() == (d / "sweep.json").read_bytes()
+
     def test_validate_identity_is_all_zero(self, workdir):
         out = workdir / "self_val.json"
         assert run("validate", workdir / "scen.csv", workdir / "scen.csv",

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    energized_components,
     enumerate_first_stage,
     per_scenario_mean_shed,
     small_instance,
@@ -31,7 +32,6 @@ from nortagrid.grid import (
     HardeningPlan,
     InstanceSpec,
     Substation,
-    _components_idx,
     generate_instance,
     operational_topology,
 )
@@ -147,14 +147,11 @@ small_grids = st.builds(
     topology=st.sampled_from(["ring", "tree", "grid"]),
     n_scenarios=st.just(1),
     gen_bus_fraction=st.floats(0.1, 0.9),
-    capacity_slack=st.floats(0.05, 1.5),  # below ~1 the lines bind
+    # On grids this small a few components bind a line below ~0.7 and
+    # about half at 0.1; bench-sized grids bind only below ~0.15.
+    capacity_slack=st.floats(0.05, 1.5),
     seed=st.integers(0, 2 ** 31 - 1),
 )
-
-
-def components_with_lp(grid, z):
-    return sum(1 for comp in _components_idx(grid, z)
-               if grid.demand[comp].any() and grid.gen_max[comp].any())
 
 
 class TestComponentDecomposition:
@@ -177,7 +174,8 @@ class TestComponentDecomposition:
 
     def test_split_patterns_with_binding_lines(self):
         # Tight lines and about 40% of the buses down: many patterns
-        # split into several components that each need their own LP.
+        # split into several components, each certified or solved by its
+        # own LP.
         rng = np.random.default_rng(5)
         split = 0
         for trial in range(25):
@@ -188,13 +186,15 @@ class TestComponentDecomposition:
                 capacity_slack=float(rng.uniform(0.05, 0.9)), seed=trial))
             z = rng.random(grid.n_buses) < 0.6
             self.check_against_whole_grid(grid, z)
-            split += components_with_lp(grid, z) >= 2
+            split += len(energized_components(grid, z)) >= 2
         assert split >= 5
 
     def test_component_without_generator_needs_no_lp(self, monkeypatch):
         # Hub bus 0 holds the only generator; with it down, buses 1 and 2
-        # are isolated demand and serve nothing.
-        g = star_grid(n_flooded=2)
+        # are isolated demand and serve nothing. Spokes of B = 1 cannot
+        # carry the 5 MW demand within the angle bounds, so the component
+        # {0, 1} is not certified and runs its LP.
+        g = star_grid(n_flooded=2, susceptance=1.0)
         calls = []
         real = lp.solve_lp
         monkeypatch.setattr(lp, "solve_lp", lambda prob: calls.append(prob) or real(prob))
@@ -230,20 +230,23 @@ class TestComponentDecomposition:
         check_solution_invariants(g, sol)
 
     def test_component_lp_is_shared_across_patterns(self, monkeypatch):
-        # Chain 0-1-2-3-4 with generators at both ends. Every pattern
-        # below has bus 2 down, so component {0, 1} is solved once.
-        subs = [Substation(i, True, 1.0, 1.0, 5) for i in range(5)]
-        buses = [Bus(i, i, 5.0, 0.0, 20.0 if i in (0, 4) else 0.0) for i in range(5)]
-        branches = [Branch(i, i, i + 1, 1000.0, 100.0) for i in range(4)]
+        # Chain 0-1-2-3-4-5 of weak lines (B = 1, so every component with
+        # a line binds an angle and runs its LP) with generators at both
+        # ends. Every pattern below has bus 2 down, so component {0, 1} is
+        # solved once.
+        subs = [Substation(i, True, 1.0, 1.0, 5) for i in range(6)]
+        buses = [Bus(i, i, 5.0, 0.0, 20.0 if i in (0, 5) else 0.0) for i in range(6)]
+        branches = [Branch(i, i, i + 1, 1.0, 100.0) for i in range(5)]
         g = GridInstance(subs, buses, branches, reference_bus=0, budget=10.0)
         calls = []
         real = lp.solve_lp
         monkeypatch.setattr(lp, "solve_lp", lambda prob: calls.append(prob) or real(prob))
         solver = RecourseSolver(g)
         solved = []
-        for z, new_lps in (([1, 1, 0, 1, 1], 2),   # {0, 1} and {3, 4}
-                           ([1, 1, 0, 1, 0], 0),   # {3} has no generator
-                           ([1, 1, 0, 0, 1], 1)):  # {4} alone
+        for z, new_lps in (([1, 1, 0, 1, 1, 1], 2),   # {0, 1} and {3, 4, 5}
+                           ([1, 1, 0, 1, 0, 1], 0),   # {3} has no generator, {5}
+                                                      # alone is certified
+                           ([1, 1, 0, 0, 1, 1], 1)):  # {4, 5}
             before = len(calls)
             sol = solver.solve_topology(np.array(z, dtype=bool))
             assert len(calls) - before == new_lps, z
@@ -251,6 +254,89 @@ class TestComponentDecomposition:
             check_solution_invariants(g, sol)
             solved.append(sol)
         assert all(np.array_equal(sol.s[:2], solved[0].s[:2]) for sol in solved)
+
+
+def congested_grid(rng, seed):
+    """A small generated grid whose lines often bind (capacity_slack
+    0.03-0.3)."""
+    grid, _ = generate_instance(InstanceSpec(
+        n_substations=int(rng.integers(3, 8)), n_flooded=1,
+        buses_per_substation=int(rng.integers(1, 4)),
+        topology=["ring", "tree", "grid"][seed % 3], n_scenarios=1,
+        capacity_slack=float(rng.uniform(0.03, 0.3)), seed=seed))
+    return grid
+
+
+class TestCopperPlate:
+    """The closed-form copper-plate certificate against the component LP
+    it stands in for, and the route each component takes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_grids, st.data())
+    def test_certified_points_are_lp_optimal(self, spec, data):
+        grid, _ = generate_instance(spec)
+        z = np.array(data.draw(st.lists(st.booleans(), min_size=grid.n_buses,
+                                        max_size=grid.n_buses)), dtype=bool)
+        solver = RecourseSolver(grid)
+        sol = solver.solve_topology(z)
+        check_solution_invariants(grid, sol)
+        assert sol.shed == pytest.approx(whole_pattern_shed(grid, z), abs=1e-9)
+        for buses, branches in energized_components(grid, z):
+            x = solver._copper_plate_x(buses, branches)
+            if x is None:
+                continue
+            prob = solver._component_lp(buses, branches)
+            assert np.all(prob.lower <= x) and np.all(x <= prob.upper)  # exact
+            assert lp._max_infeas(prob, x) <= lp.FEAS_TOL
+            served = min(grid.demand[buses].sum(), grid.gen_max[buses].sum())
+            assert x[:len(buses)].sum() == pytest.approx(served, rel=1e-12)
+            assert prob.objective @ x == pytest.approx(lp.solve_lp(prob).objective, abs=1e-9)
+
+    @pytest.mark.parametrize("susceptance, capacity, certified, shed", [
+        (10.0, 10.0, True, 0.0),             # angle spread 0.5, flow 5 of 10
+        (1.0, 10.0, False, 5.0 - math.pi),   # 5 MW needs an angle spread of 5 > pi
+        (10.0, 3.0, False, 2.0),             # 5 MW over a 3 MW line
+    ], ids=["stiff", "angle-binds", "capacity-binds"])
+    def test_two_bus_routes(self, monkeypatch, susceptance, capacity, certified, shed):
+        g = two_bus_grid(susceptance=susceptance, capacity=capacity)
+        calls = []
+        real = lp.solve_lp
+        monkeypatch.setattr(lp, "solve_lp", lambda prob: calls.append(prob) or real(prob))
+        solver = RecourseSolver(g)
+        sol = solver.solve_topology(np.array([True, True]))
+        assert (solver.certified, solver.lp_solves, len(calls)) == (
+            int(certified), int(not certified), int(not certified))
+        assert sol.shed == pytest.approx(shed, abs=1e-9)
+        check_solution_invariants(g, sol)
+
+    def test_counters_count_component_cache_entries(self):
+        rng = np.random.default_rng(11)
+        certified = lp_solves = 0
+        for seed in range(12):
+            grid = congested_grid(rng, seed)
+            solver = RecourseSolver(grid)
+            for _ in range(6):
+                solver.solve_topology(rng.random(grid.n_buses) < 0.7)
+            assert solver.certified + solver.lp_solves == len(solver._component_cache)
+            certified += solver.certified
+            lp_solves += solver.lp_solves
+        assert certified > 0 and lp_solves > 0
+
+    def test_lp_never_serves_more_than_copper_plate(self):
+        # Summing the balance rows bounds served demand by min(D, G) on
+        # every grid, congested or not.
+        rng = np.random.default_rng(12)
+        below = 0
+        for seed in range(30):
+            grid = congested_grid(rng, seed)
+            solver = RecourseSolver(grid)
+            for _ in range(3):
+                for buses, branches in energized_components(grid, rng.random(grid.n_buses) < 0.8):
+                    sol = lp.solve_lp(solver._component_lp(buses, branches))
+                    bound = min(grid.demand[buses].sum(), grid.gen_max[buses].sum())
+                    assert -sol.objective <= bound * (1.0 + 1e-12)
+                    below += -sol.objective < bound - 1e-6
+        assert below >= 30
 
 
 class TestSaaObjective:
@@ -573,9 +659,10 @@ class TestEvaluateOos:
         assert stats[0] is None
 
     def test_failing_lp_names_its_scenario(self, monkeypatch):
-        # Hub bus 0 feeds demand buses 1 and 2; only scenario 3 floods
-        # substation 1, which leaves the LP of component {0, 2} alone.
-        g = star_grid(n_flooded=2)
+        # Hub bus 0 feeds demand buses 1 and 2 over weak spokes (B = 1,
+        # so every component with a spoke runs its LP); only scenario 3
+        # floods substation 1, which leaves the LP of component {0, 2} alone.
+        g = star_grid(n_flooded=2, susceptance=1.0)
         synth = uniform_scenarios([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [3.0, 0.0], [2.0, 1.0]],
                                   g.flooded_ids)
         problem = TwoStageProblem(g, uniform_scenarios([[1.0, 1.0]], g.flooded_ids))

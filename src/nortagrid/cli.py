@@ -120,13 +120,16 @@ def _finite_list(values, where):
 
 _PAIR_FIELDS = (("i", int), ("j", int), ("target", float), ("rho_z", float),
                 ("residual", float), ("clamped", bool))
+_REPORT_FIELDS = (("repair_distance", float), ("chol_jitter", float),
+                  ("rho_evaluations", int), ("pair_evaluations", int))
 
 
 def load_model(path) -> NortaModel:
-    """A fitted model from its JSON file. Column ids and pair indices
-    must be JSON integers, marginals, matrices and the other fit-report
-    numbers finite JSON numbers, and `clamped` flags JSON booleans; a
-    value of another type is rejected, naming its field."""
+    """A fitted model from its JSON file. Column ids, pair indices and
+    the fit report's work counters (0 when absent) must be JSON
+    integers, marginals, matrices and the other fit-report numbers
+    finite JSON numbers, and `clamped` flags JSON booleans; a value of
+    another type is rejected, naming its field."""
     data = _read_json(path)
     try:
         marginals = [EmpiricalMarginal(_finite_list(vals, f"marginals[{j}]"))
@@ -142,8 +145,8 @@ def load_model(path) -> NortaModel:
         for k, p in enumerate(rep.get("pairs", [])):
             where = f"fit_report.pairs[{k}]"
             pairs.append(PairMatch(*[_field(p, name, kind, where) for name, kind in _PAIR_FIELDS]))
-        scalars = [_field(rep, name, float, "fit_report") if name in rep else 0.0
-                   for name in ("repair_distance", "chol_jitter")]
+        scalars = [_field(rep, name, kind, "fit_report") if name in rep else kind(0)
+                   for name, kind in _REPORT_FIELDS]
         report = FitReport(pairs, *scalars)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model file {path}: {exc}") from exc

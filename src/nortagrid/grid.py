@@ -293,31 +293,35 @@ def _survival(grid: GridInstance, heights, deltas):
     return alive[..., grid.bus_flood_pos]
 
 
-def _components_idx(grid: GridInstance, z):
-    """Connected components (bus indices) of the operational subgraph."""
-    alive = np.asarray(z, dtype=bool)
-    adj = [[] for _ in range(grid.n_buses)]
-    for h, t in zip(grid.head_idx, grid.tail_idx):
-        if alive[h] and alive[t]:
-            adj[h].append(t)
-            adj[t].append(h)
-    seen = np.zeros(grid.n_buses, dtype=bool)
-    comps = []
-    for start in range(grid.n_buses):
-        if not alive[start] or seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
+def _components(grid: GridInstance, z):
+    """Connected components of the operational subgraph, in order of
+    their lowest bus index: (bus indices, branch indices) per component,
+    each ascending. A live bus without live branches is a component of
+    its own.
+
+    Every bus is labeled with the lowest bus index of its component:
+    each pass lowers both ends of every live branch to the smaller of
+    their labels and then lets every bus take its label's label, until
+    no label moves."""
+    z = np.asarray(z, dtype=bool)
+    on = np.flatnonzero(z[grid.head_idx] & z[grid.tail_idx])
+    heads, tails = grid.head_idx[on], grid.tail_idx[on]
+    label = np.arange(grid.n_buses)
+    while True:
+        low = np.minimum(label[heads], label[tails])
+        new = label.copy()
+        np.minimum.at(new, heads, low)
+        np.minimum.at(new, tails, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    buses = np.flatnonzero(z)
+    buses = buses[np.argsort(label[buses], kind="stable")]
+    roots, first = np.unique(label[buses], return_index=True)
+    branches = on[np.argsort(label[heads], kind="stable")]
+    cuts = np.searchsorted(label[grid.head_idx[branches]], roots)
+    return list(zip(np.split(buses, first)[1:], np.split(branches, cuts)[1:]))
 
 
 # ----------------------------------------------------------------------

@@ -10,10 +10,15 @@ normals through the marginal quantiles.
 The pairwise bisections run together as array code: each round
 evaluates c at every unfinished pair's midpoint in one call. Every
 bracket starts from the same interval, so many pairs ask for the same
-rho_z, and each distinct rho_z's rotated quadrature nodes and their
-normal-score index (shared by all columns with the same sample count)
-are built once per round. Each column's first-axis half is built once
-per fit. The values are bit for bit those of matching each pair alone.
+rho_z. Each distinct rho_z's rotated quadrature nodes are looked up in
+the normal-score thresholds once per round and sample count, and folded
+into a slot-weight matrix: how much quadrature weight falls on each
+sample. Every empirical column with that sample count takes its
+moments from the same matrix. Each column's first-axis half is built
+once per fit. No value depends on which pairs share a round, so a fit
+gives bit for bit what matching each pair alone through the same slot
+weights gives; against evaluating every node's value, only the order
+of the sums differs.
 
 Marginals only need a ``quantile(u)`` method accepting ndarrays, so
 analytic marginals can stand in for empirical ones (used heavily in the
@@ -59,10 +64,12 @@ PSD_TOL = 1e-9
 _PSD_MAX_ITER = 1000
 _GH_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _SQRT2 = math.sqrt(2.0)
-# Columns per gathered (_BLOCK, degree, degree) block: 128 KB at degree 64.
-# Larger blocks are no faster (most rhos need a few columns) and lift the
-# peak memory of a small fit, which sets the peak of a solve-bound study.
-_BLOCK = 4
+# Doubles per transient array of a matching batch (128 KiB): 4 rhos' nodes
+# at degree 64. Half as much made the 72-column panel's fit ~25% slower
+# (twice the batches); twice as much put every batch on fresh pages
+# (glibc malloc: ~270k page faults, +0.3 s per fit) and lifts the fit's
+# peak memory.
+_CHUNK = 1 << 14
 _I, _J = np.array([0]), np.array([1])  # the one pair of a two-column matcher
 
 
@@ -140,9 +147,15 @@ class PairMatch:
 
 @dataclass
 class FitReport:
+    """Per-pair matches, the PSD repair and jitter, and the matching work:
+    distinct rhos and (pair, rho) evaluations of c summed over the
+    bisection rounds."""
+
     pairs: list = field(default_factory=list)
     repair_distance: float = 0.0
     chol_jitter: float = 0.0
+    rho_evaluations: int = 0
+    pair_evaluations: int = 0
 
     @property
     def clamp_count(self):
@@ -163,6 +176,8 @@ class FitReport:
             "chol_jitter": self.chol_jitter,
             "clamp_count": self.clamp_count,
             "max_residual": self.max_residual,
+            "rho_evaluations": self.rho_evaluations,
+            "pair_evaluations": self.pair_evaluations,
         }
 
 
@@ -231,20 +246,22 @@ class _Matcher:
 
     * per column, once: its first-axis values, their moments and its
       degeneracy (the column as the pair's first member);
-    * per rho: the rotated second-axis nodes z2 and, for each
-      sample count n, their index into the n-sample normal-score
-      thresholds, which every empirical column of that count shares;
-    * per (rho, column): the second axis's conditional moments,
-      from a gather of the column's sorted values at that index, in
-      blocks of at most _BLOCK columns (one ``np.take`` and one batched
-      ``@ wn`` each);
+    * per rho: the rotated second-axis nodes z2 and, for each sample
+      count n, the slot weights W (n x degree). W[m, k] sums the
+      independent-axis weights wn[l] of the nodes (k, l) whose
+      normal-score index is m, and every empirical column of that
+      count shares it, as it shares the slot masses W @ wn;
+    * per (rho, column): the second axis's moments. An empirical column
+      with sorted values v takes E[Y | Z1 node k] from v @ W and E[Y^2]
+      from v**2 against the slot masses; any other marginal is
+      evaluated at every node;
     * per pair: the cross moment and the final ratio.
 
-    Every float operation is the one a single pair evaluated alone
-    would perform, in the same order, so no value depends on the
-    batching. ``np.take`` keeps each gathered block C-contiguous: a
-    strided block (``values[:, idx]``) would give ``@ wn`` another
-    summation order.
+    W is one ``np.bincount`` of the index in node order, v @ W sums the
+    slots in order elementwise over k, and every other sum runs along a
+    contiguous last axis, so no value depends on which rhos, columns or
+    pairs share a batch. A batch holds at most about _CHUNK doubles per
+    array.
     """
 
     def __init__(self, marginals, degree):
@@ -260,68 +277,73 @@ class _Matcher:
         self.ex = self.wx.sum(axis=1) * sw
         self.var = (self.wx * xi).sum(axis=1) * sw - self.ex * self.ex
         # Second axis: the sample count of each empirical column (0 for
-        # any other marginal) and its sorted values, one padded row each.
+        # any other marginal), and its sorted values and their squares,
+        # one padded row each.
         self.count = np.array([m.n if isinstance(m, EmpiricalMarginal) else 0
                                for m in marginals], dtype=int)
         self.kinds = sorted(set(self.count.tolist()))
         self.values = np.zeros((n, int(self.count.max(initial=0))))
         for col in np.flatnonzero(self.count):
             self.values[col, :self.count[col]] = marginals[col].sorted_values
+        self.squares = self.values * self.values
+        self.rho_step = max(1, _CHUNK // x.size ** 2)  # rhos per batch
+        # Work done: distinct rhos and pairs, summed over the calls of c.
+        self.rho_evaluations = self.pair_evaluations = 0
 
     def c(self, rho, i, j):
         """c(rho[k]) of the pairs (i[k], j[k]), for rho in [-1, 1], as an
         array; 0.0 for a pair with a degenerate marginal. Pairs at the
-        same rho are evaluated together and share its half."""
+        same rho share its slot weights, pairs at the same (rho, j) the
+        second axis's moments."""
         out = np.empty(rho.size)
-        if rho.size == 0:  # np.split of an empty order still gives one group
-            return out
-        order = np.argsort(rho, kind="stable")
-        r = rho[order]
-        for group in np.split(order, np.flatnonzero(r[1:] != r[:-1]) + 1):
-            out[group] = self._c_at(float(rho[group[0]]), i[group], j[group])
+        # Sorted by (rho, j), each distinct rho and each (rho, j) is a run.
+        order = np.lexsort((j, rho))
+        r, jj = rho[order], j[order]
+        new_rho = np.ones(r.size, dtype=bool)
+        new_rho[1:] = r[1:] != r[:-1]
+        new_run = new_rho.copy()
+        new_run[1:] |= jj[1:] != jj[:-1]
+        run = np.cumsum(new_run) - 1  # each sorted pair's (rho, j) run
+        run_rho, run_col = np.cumsum(new_rho)[new_run] - 1, jj[new_run]
+        n_rho = int(new_rho.sum())
+        starts = np.append(np.flatnonzero(new_rho), r.size)  # rho g's pairs: starts[g:g + 2]
+        self.rho_evaluations += n_rho
+        self.pair_evaluations += rho.size
+        pair_step = max(1, _CHUNK // self.x.size)
+        for a in range(0, n_rho, self.rho_step):
+            b = min(a + self.rho_step, n_rho)
+            runs = slice(run[starts[a]], run[starts[b] - 1] + 1)
+            wy, ey, var_j, flat_j = self._second_axis(
+                r[starts[a:b]], run_rho[runs] - a, run_col[runs])
+            for s in range(starts[a], starts[b], pair_step):
+                k = slice(s, min(s + pair_step, starts[b]))
+                p, q = order[k], run[k] - runs.start
+                out[p] = self._ratio(i[p], wy[q], ey[q], var_j[q], flat_j[q])
         return out
 
-    def _c_at(self, rho, i, j):
-        """c(rho) of the pairs (i[k], j[k]) at one rho."""
-        x = self.x
-        # The quadrature ignores mass beyond the node range; pull exact
-        # +-1 inside the open interval where the rotation is well defined.
-        rho = min(1.0 - 1e-12, max(-1.0 + 1e-12, rho))
-        shat = math.sqrt(max(0.0, 1.0 - rho * rho))
-        z2 = np.add.outer(rho * x, shat * x)
-        z2 *= _SQRT2
-        # np.unique(j, return_inverse=True) without the sort.
-        used = np.zeros(self.count.size, dtype=bool)
-        used[j] = True
-        cols = np.flatnonzero(used)
-        pos = np.searchsorted(cols, j)
-        wy, ey, var_j, flat_j = self._second_axis(z2, cols)
-        exy = (self.wx[i] * wy[pos]).sum(axis=1)
-        ey, var_j, var_i = ey[pos], var_j[pos], self.var[i]
+    def _ratio(self, i, wy, ey, var_j, flat_j):
+        """c of the pairs whose first columns are i and whose second
+        axes have the moments wy, ey, var_j and flatness flat_j."""
+        exy = (self.wx[i] * wy).sum(axis=1)
+        var_i = self.var[i]
         # Degenerate marginal: correlation is undefined, report 0 rather
         # than dividing rounding fuzz by rounding fuzz.
-        ok = ~(self.flat[i] | flat_j[pos]) & (var_i > 0.0) & (var_j > 0.0)
+        ok = ~(self.flat[i] | flat_j) & (var_i > 0.0) & (var_j > 0.0)
         out = np.zeros(i.size)
         out[ok] = (exy[ok] - self.ex[i][ok] * ey[ok]) / np.sqrt(var_i[ok] * var_j[ok])
         return np.minimum(1.0, np.maximum(-1.0, out))
 
-    def _moments(self, yj):
-        """E[Y | Z1 node] (still weighted by the first axis), E[Y] and
-        Var[Y] of second-axis values yj (..., degree, degree)."""
-        wn = self.wn
-        # Collapse the independent axis first; one consistent double-sum
-        # weighting for every moment keeps c(0) at zero to rounding.
-        wy = yj @ wn
-        ey = (wn * wy).sum(axis=-1)
-        ey2 = (wn * ((yj * yj) @ wn)).sum(axis=-1)
-        return wy, ey, ey2 - ey * ey
-
-    def _second_axis(self, z2, cols):
-        """The moments of each column in cols at the rotated nodes z2,
-        and whether its values there are all equal."""
-        wy = np.empty((cols.size, self.x.size))
-        ey = np.empty(cols.size)
-        var = np.empty(cols.size)
+    def _second_axis(self, rhos, at, cols):
+        """The moments of each column cols[q] at rhos[at[q]]: E[Y | Z1
+        node] (still weighted by the first axis), E[Y] and Var[Y], and
+        whether its values at the rotated nodes are all equal."""
+        x, wn = self.x, self.wn
+        deg = x.size
+        # The quadrature ignores mass beyond the node range; pull exact
+        # +-1 inside the open interval where the rotation is well defined.
+        r = np.clip(rhos, -1.0 + 1e-12, 1.0 - 1e-12)
+        rx, sx = r[:, None] * x, np.sqrt(np.maximum(0.0, 1.0 - r * r))[:, None] * x
+        wy, ey2 = np.empty((cols.size, deg)), np.empty(cols.size)
         flat = np.empty(cols.size, dtype=bool)
         counts = self.count[cols]
         for n in self.kinds:
@@ -329,21 +351,51 @@ class _Matcher:
             if sel.size == 0:
                 continue
             if n == 0:
-                for s in sel.tolist():
-                    yj = _normal_score_values(self.marginals[cols[s]], z2)
-                    wy[s], ey[s], var[s] = self._moments(yj)
-                    flat[s] = yj.max() == yj.min()
+                for q in sel.tolist():
+                    z2 = np.add.outer(rx[at[q]], sx[at[q]])
+                    z2 *= _SQRT2
+                    yj = _normal_score_values(self.marginals[cols[q]], z2)
+                    wy[q] = yj @ wn
+                    ey2[q] = (wn * ((yj * yj) @ wn)).sum()
+                    flat[q] = yj.max() == yj.min()
                 continue
-            idx = np.searchsorted(normal_score_thresholds(n), z2, side="right")
-            values = self.values[cols[sel]]
+            w, lo, hi = _slot_weights(rx, sx, wn, n)
+            v, v2 = self.values[cols[sel], :n], self.squares[cols[sel], :n]
             # Sorted values: a column is flat at these nodes iff its
             # values at the smallest and the largest index agree.
-            flat[sel] = values[:, idx.min()] == values[:, idx.max()]
-            for b in range(0, sel.size, _BLOCK):
-                block = sel[b:b + _BLOCK]
-                yj = np.take(values[b:b + _BLOCK], idx, axis=1)
-                wy[block], ey[block], var[block] = self._moments(yj)
-        return wy, ey, var, flat
+            ends = np.arange(sel.size)
+            flat[sel] = v[ends, lo[at[sel]]] == v[ends, hi[at[sel]]]
+            mass = (w * wn).sum(axis=-1)
+            ey2[sel] = (mass[at[sel]] * v2).sum(axis=-1)
+            step = max(1, _CHUNK // (deg * n))
+            for b in range(0, sel.size, step):
+                t = slice(b, b + step)
+                wv = w[at[sel[t]]]
+                wv *= v[t, :, None]
+                wy[sel[t]] = wv.sum(axis=1)
+        # Every moment is the same wn x wn double sum, which keeps c(0)
+        # at zero to rounding.
+        ey = (wn * wy).sum(axis=-1)
+        return wy, ey, ey2 - ey * ey, flat
+
+
+def _slot_weights(rx, sx, wn, n):
+    """The slot weights W[r, m, k] of n samples at each rho r: the sum of
+    wn[l] over the rotated nodes z2[r, k, l] = (rx[r, k] + sx[r, l]) *
+    sqrt(2) whose normal-score index is m, in node order; and each rho's
+    smallest and largest index."""
+    deg = wn.size
+    z2 = rx[:, :, None] + sx[:, None, :]
+    z2 *= _SQRT2
+    idx = np.searchsorted(normal_score_thresholds(n), z2, side="right")
+    lo, hi = idx.min(axis=(1, 2)), idx.max(axis=(1, 2))
+    # One bin per (rho, k, m); z2's buffer, free after the lookup,
+    # carries each node's weight.
+    idx.shape = z2.shape = (-1, deg)
+    idx += n * np.arange(idx.shape[0])[:, None]
+    z2[...] = wn
+    w = np.bincount(idx.ravel(), z2.ravel(), minlength=idx.shape[0] * n)
+    return np.ascontiguousarray(w.reshape(-1, deg, n).transpose(0, 2, 1)), lo, hi
 
 
 def _match_pairs(matcher, i, j, targets, tol, max_iter):
@@ -394,10 +446,12 @@ def c_of_rho(marginal_i, marginal_j, rho_z, degree=64):
     Gauss-Hermite quadrature over the rotated independent pair. The
     quadrature is deterministic, which keeps the map nondecreasing in
     rho_z as evaluated -- a Monte Carlo estimate would break the
-    bisection in solve_rho_z. Empirical marginals are evaluated through
-    their normal-score thresholds, bit for bit equal to the generic
-    quantile(normal_cdf(.)) path that analytic marginals take. Returns
-    0.0 for a degenerate marginal. This is the evaluator fit and
+    bisection in solve_rho_z. An empirical marginal maps every node to
+    the sample that the generic quantile(normal_cdf(.)) path of analytic
+    marginals gives, through its normal-score thresholds, and the second
+    axis sums the quadrature weight per sample first; the result agrees
+    with the generic path to rounding (within 1e-12 in the tests).
+    Returns 0.0 for a degenerate marginal. This is the evaluator fit and
     solve_rho_z use, with a batch of one pair.
     """
     _check_fit_options(degree=degree)
@@ -420,9 +474,9 @@ def solve_rho_z(marginal_i, marginal_j, rho_x_target, *, tol=1e-4,
 
     This is fit's bisection with one pair. fit bisects all pairs
     together in array rounds; pairs that ask for the same rho_z in a
-    round share the rotated nodes and their normal-score index, and
-    every column's first-axis half is built once. Each pair sees the
-    same sequence of c values either way.
+    round share its slot weights, and every column's first-axis half is
+    built once. Each pair sees the same sequence of c values, bit for
+    bit, either way.
     """
     _check_fit_options(degree=degree, tol=tol, max_iter=max_iter)
     target = float(rho_x_target)
@@ -517,13 +571,14 @@ def fit(s: ScenarioSet, *, degree=64, match_tol=1e-4, bisect_max_iter=200) -> No
     n = len(marginals)
     i, j = np.triu_indices(n, k=1)
     targets = sigma_x[i, j]
-    rho, residual, clamped = _match_pairs(_Matcher(marginals, degree), i, j, targets,
-                                          match_tol, bisect_max_iter)
+    matcher = _Matcher(marginals, degree)
+    rho, residual, clamped = _match_pairs(matcher, i, j, targets, match_tol, bisect_max_iter)
     sigma_z = np.eye(n)
     sigma_z[i, j] = sigma_z[j, i] = rho
     report = FitReport([PairMatch(*pair) for pair in zip(
         i.tolist(), j.tolist(), targets.tolist(), rho.tolist(), residual.tolist(),
-        clamped.tolist())])
+        clamped.tolist())], rho_evaluations=matcher.rho_evaluations,
+        pair_evaluations=matcher.pair_evaluations)
     y = nearest_correlation(sigma_z)
     report.repair_distance = float(np.linalg.norm(sigma_z - y))
     chol, jitter = _cholesky_with_jitter(y)

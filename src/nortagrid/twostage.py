@@ -25,7 +25,7 @@ import numpy as np
 
 from . import lp
 from .errors import RecourseError, ResourceLimitError, ValidationError
-from .grid import BUDGET_SLACK, GridInstance, HardeningPlan, _components_idx, _survival
+from .grid import BUDGET_SLACK, GridInstance, HardeningPlan, _components, _survival
 from .norta import ScenarioSet
 from .stats import spread
 
@@ -248,13 +248,10 @@ class RecourseSolver:
         nb = g.n_buses
         s, gen, alpha = np.zeros(nb), np.zeros(nb), np.zeros(nb)
         e = np.zeros(len(g.branches))
-        both_on = z[g.head_idx] & z[g.tail_idx]
         served = 0.0
-        for comp in _components_idx(g, z):
-            buses = np.array(comp)
+        for buses, branches in _components(g, z):
             if not (g.demand[buses].any() and g.gen_max[buses].any()):
                 continue  # serves exactly 0
-            branches = np.flatnonzero(both_on & np.isin(g.head_idx, buses))
             x = self._component_x(buses, branches)
             n = len(buses)
             s[buses] = x[:n]

@@ -22,11 +22,10 @@ from nortagrid.grid import (
     operational_topology,
 )
 from nortagrid import lp
-from nortagrid.grid import _components_idx
 from nortagrid import norta
 from nortagrid.lp import LpProblem
 from nortagrid.norta import FitReport, PairMatch, RhoMatch, ScenarioSet
-from nortagrid.stats import EmpiricalMarginal, normal_cdf
+from nortagrid.stats import EmpiricalMarginal, normal_cdf, normal_score_thresholds
 from nortagrid.twostage import RecourseSolver, TwoStageProblem
 
 
@@ -271,7 +270,7 @@ def whole_pattern_lp(grid, z):
     cap = np.where(both_on, np.array([r.capacity for r in g.branches]), 0.0)
     lo[idx_e:idx_e + nr] = -cap
     hi[idx_e:idx_e + nr] = cap
-    for comp in _components_idx(g, z):
+    for comp in dfs_components(g, z):
         ref = min(comp, key=lambda i: g.bus_ids[i])
         lo[idx_a + ref] = hi[idx_a + ref] = 0.0
     prob = LpProblem.with_bounds(c, lo, hi)
@@ -338,13 +337,41 @@ def max_infeasibility_by_rows(prob, x):
     return worst
 
 
+def dfs_components(grid, z):
+    """Connected components (sorted bus index lists) of the operational
+    subgraph, by depth-first search from each live bus in index order."""
+    alive = np.asarray(z, dtype=bool)
+    adj = [[] for _ in range(grid.n_buses)]
+    for h, t in zip(grid.head_idx, grid.tail_idx):
+        if alive[h] and alive[t]:
+            adj[h].append(t)
+            adj[t].append(h)
+    seen = np.zeros(grid.n_buses, dtype=bool)
+    comps = []
+    for start in range(grid.n_buses):
+        if not alive[start] or seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        comp = []
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v in adj[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        comps.append(sorted(comp))
+    return comps
+
+
 def energized_components(grid, z):
     """(buses, branches) index arrays of each component of pattern z that
     has both demand and generation, the ones the recourse solver solves."""
     z = np.asarray(z, dtype=bool)
     both_on = z[grid.head_idx] & z[grid.tail_idx]
     out = []
-    for comp in _components_idx(grid, z):
+    for comp in dfs_components(grid, z):
         buses = np.array(comp)
         if grid.demand[buses].any() and grid.gen_max[buses].any():
             out.append((buses, np.flatnonzero(both_on & np.isin(grid.head_idx, buses))))
@@ -412,7 +439,11 @@ class FreshSolveSimplex(lp._Simplex):
 
 def _per_pair_matching_function(marginal_i, marginal_j, degree):
     """One pair's map rho -> c(rho), evaluated alone: the first axis's
-    half is built per pair and every rho rebuilds the second axis."""
+    half is built per pair and every rho rebuilds the second axis. An
+    empirical second axis takes its moments through the slot weights
+    w[m, k], the sum of wn[l] over the nodes (k, l) whose value is
+    sample m, filled node by node with ``np.add.at``; its E[Y^2] sums
+    the squared samples against the slot masses sum_k wn[k] w[m, k]."""
     x, wn = norta._gh_nodes(degree)
     sqrt2 = math.sqrt(2.0)
 
@@ -437,10 +468,17 @@ def _per_pair_matching_function(marginal_i, marginal_j, degree):
         yj = values(marginal_j, z2)
         if flat_i or yj.max() == yj.min():
             return 0.0
-        wy = yj @ wn
-        wy2 = (yj * yj) @ wn
+        if isinstance(marginal_j, EmpiricalMarginal):
+            idx = np.searchsorted(normal_score_thresholds(marginal_j.n), z2, side="right")
+            w = np.zeros((marginal_j.n, x.size))
+            np.add.at(w, (idx, np.arange(x.size)[:, None]), wn)
+            v = marginal_j.sorted_values
+            wy = (w * v[:, None]).sum(axis=0)
+            ey2 = float(((w * wn).sum(axis=1) * (v * v)).sum())
+        else:
+            wy = yj @ wn
+            ey2 = float((wn * ((yj * yj) @ wn)).sum())
         ey = float((wn * wy).sum())
-        ey2 = float((wn * wy2).sum())
         exy = float((wx * wy).sum())
         var_j = ey2 - ey * ey
         if var_i <= 0.0 or var_j <= 0.0:
@@ -451,9 +489,16 @@ def _per_pair_matching_function(marginal_i, marginal_j, degree):
     return c
 
 
-def per_pair_rho_z(marginal_i, marginal_j, target, *, tol, max_iter, degree):
-    """One pair's bisection, run to completion before the next pair."""
-    c_of = _per_pair_matching_function(marginal_i, marginal_j, degree)
+def per_pair_rho_z(marginal_i, marginal_j, target, *, tol, max_iter, degree, asked=None):
+    """One pair's bisection, run to completion before the next pair.
+    Each rho it evaluates c at is appended to the list `asked`, if given."""
+    c_pair = _per_pair_matching_function(marginal_i, marginal_j, degree)
+
+    def c_of(rho):
+        if asked is not None:
+            asked.append(rho)
+        return c_pair(rho)
+
     lo, hi = -1.0 + 1e-6, 1.0 - 1e-6
     c_lo = c_of(lo)
     c_hi = c_of(hi)
@@ -480,18 +525,25 @@ def per_pair_rho_z(marginal_i, marginal_j, target, *, tol, max_iter, degree):
 
 
 def per_pair_fit(s, *, degree=64, match_tol=1e-4, bisect_max_iter=200):
-    """``norta.fit``'s sigma_z and report, matching one pair at a time."""
+    """``norta.fit``'s sigma_z and report, matching one pair at a time.
+    The work counters replay fit's rounds: round t evaluates every pair
+    that asks for a t-th rho, once per distinct rho."""
     marginals, sigma_x = norta.estimate_inputs(s)
     n = len(marginals)
     sigma_z = np.eye(n)
     report = FitReport()
+    asked = []
     for i in range(n):
         for j in range(i + 1, n):
             target = float(sigma_x[i, j])
+            asked.append([])
             m = per_pair_rho_z(marginals[i], marginals[j], target, tol=match_tol,
-                               max_iter=bisect_max_iter, degree=degree)
+                               max_iter=bisect_max_iter, degree=degree, asked=asked[-1])
             sigma_z[i, j] = sigma_z[j, i] = m.rho_z
             report.pairs.append(PairMatch(i, j, target, m.rho_z, m.residual, m.clamped))
+    rounds = itertools.zip_longest(*asked)
+    report.rho_evaluations = sum(len(set(r) - {None}) for r in rounds)
+    report.pair_evaluations = sum(map(len, asked))
     y = norta.nearest_correlation(sigma_z)
     report.repair_distance = float(np.linalg.norm(sigma_z - y))
     report.chol_jitter = norta._cholesky_with_jitter(y)[1]

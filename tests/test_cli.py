@@ -390,6 +390,10 @@ class TestCliErrors:
          "fit_report.pairs[0]: target must be a finite number, got '0.5'"),
         (("fit_report", "chol_jitter"), None,
          "fit_report: chol_jitter must be a finite number, got None"),
+        (("fit_report", "rho_evaluations"), 1.5,
+         "fit_report: rho_evaluations must be an integer, got 1.5"),
+        (("fit_report", "pair_evaluations"), "81811",
+         "fit_report: pair_evaluations must be an integer, got '81811'"),
     ])
     def test_model_ids_and_fit_report_are_not_coerced(self, workdir, tmp_path, capsys,
                                                       path, value, message):
@@ -411,6 +415,15 @@ class TestCliErrors:
         model = cli.load_model(workdir / "model.json")
         assert list(model.columns) == data["columns"]
         assert model.report.to_dict() == data["fit_report"]
+        assert data["fit_report"]["pair_evaluations"] >= data["fit_report"]["rho_evaluations"] > 0
+
+    def test_model_without_work_counters_loads_them_as_zero(self, workdir, tmp_path):
+        data = json.loads((workdir / "model.json").read_text())
+        del data["fit_report"]["rho_evaluations"], data["fit_report"]["pair_evaluations"]
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(data))
+        report = cli.load_model(p).report
+        assert (report.rho_evaluations, report.pair_evaluations) == (0, 0)
 
     def test_malformed_model_file(self, tmp_path):
         p = tmp_path / "model.json"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_big_m_z, two_bus_grid
+from helpers import brute_force_big_m_z, dfs_components, two_bus_grid
 from nortagrid.errors import ValidationError
 from nortagrid.grid import (
     Branch,
@@ -14,7 +14,7 @@ from nortagrid.grid import (
     HardeningPlan,
     InstanceSpec,
     Substation,
-    _components_idx,
+    _components,
     generate_instance,
     load_grid,
     load_scenarios,
@@ -27,7 +27,7 @@ from nortagrid.norta import ScenarioSet
 
 def components(grid, z):
     """Operational components as sorted lists of bus ids."""
-    return [sorted(int(grid.bus_ids[i]) for i in comp) for comp in _components_idx(grid, z)]
+    return [sorted(int(grid.bus_ids[i]) for i in buses) for buses, _ in _components(grid, z)]
 
 
 def path_grid(n=3, alive_demand=4.0):
@@ -232,6 +232,25 @@ class TestConnectedComponents:
             flat = [b for c in comps for b in c]
             assert sorted(flat) == sorted(np.flatnonzero(z).tolist())
             assert len(flat) == len(set(flat))
+
+    @pytest.mark.parametrize("topology", ["ring", "tree", "grid"])
+    def test_labels_agree_with_depth_first_search(self, topology):
+        # Same components in the same order, each with its ascending bus
+        # indices and the ascending live branches whose head is in it.
+        spec = InstanceSpec(n_substations=9, n_flooded=6, buses_per_substation=2,
+                            topology=topology, seed=11)
+        grid, _ = generate_instance(spec)
+        rng = np.random.default_rng(4)
+        for p_alive in (0.3, 0.6, 0.9, 1.0):
+            for _ in range(15):
+                z = rng.random(grid.n_buses) < p_alive
+                got = _components(grid, z)
+                want = dfs_components(grid, z)
+                assert [b.tolist() for b, _ in got] == want
+                on = z[grid.head_idx] & z[grid.tail_idx]
+                for buses, branches in got:
+                    assert branches.tolist() == np.flatnonzero(
+                        on & np.isin(grid.head_idx, buses)).tolist()
 
 
 class TestInstanceSpec:

@@ -280,17 +280,25 @@ def operational_topology(grid: GridInstance, plan: HardeningPlan, scenario):
     return _survival(grid, plan.heights, delta)
 
 
-def _survival(grid: GridInstance, heights, deltas):
-    """Per-bus survival for flood heights deltas of shape (..., n_flooded).
+def _substation_survival(heights, deltas):
+    """Survival of each flooded substation, for protection heights and
+    flood heights deltas broadcast over (..., n_flooded), with one
+    all-True column appended for the safe substations.
 
-    A bus at a flooded substation survives iff protection meets the
-    water height (x >= delta, so equality keeps the bus up); buses at
-    safe substations are always up.
+    A flooded substation survives iff protection meets the water height
+    (x >= delta, so equality keeps it up); safe substations are always up.
     """
-    alive = np.ones(deltas.shape[:-1] + (deltas.shape[-1] + 1,), dtype=bool)
+    shape = np.broadcast_shapes(np.shape(heights), np.shape(deltas))
+    alive = np.ones(shape[:-1] + (shape[-1] + 1,), dtype=bool)
     np.greater_equal(heights, deltas, out=alive[..., :-1])
+    return alive
+
+
+def _survival(grid: GridInstance, heights, deltas):
+    """Per-bus survival for flood heights deltas of shape (..., n_flooded):
+    each bus takes its substation's _substation_survival."""
     # Safe buses have flood position -1: the all-True last column.
-    return alive[..., grid.bus_flood_pos]
+    return _substation_survival(heights, deltas)[..., grid.bus_flood_pos]
 
 
 def _components(grid: GridInstance, z):

@@ -6,13 +6,16 @@ Pearson correlation, the exact earth mover's distance between
 empirical distributions, a sample's spread summary, and
 correlation-matrix checks.
 All array-valued entry points accept scalars or ndarrays.
+
+scipy is imported by normal_cdf and normal_quantile at their first call,
+not with this module, so the commands that never fit or sample a NORTA
+model never load it.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.special import erfc, ndtri
 
 from .errors import ValidationError
 
@@ -101,6 +104,8 @@ def normal_cdf(z):
     the result within about one ulp everywhere (tail values are computed
     without cancellation and the opposite tail rounds once against 1).
     """
+    from scipy.special import erfc
+
     z_arr = np.asarray(z, dtype=float)
     tail = 0.5 * erfc(np.abs(z_arr) / _SQRT2)
     out = np.where(z_arr <= 0.0, tail, 1.0 - tail)
@@ -152,6 +157,8 @@ def normal_quantile(u):
     scipy.special.ndtri: normal_quantile(normal_cdf(z)) recovers z to
     ~1e-8 absolute over |z| <= 6 (the representation limit near u=1).
     """
+    from scipy.special import ndtri
+
     u_arr = np.asarray(u, dtype=float)
     if np.any(~np.isfinite(u_arr)) or np.any((u_arr <= 0.0) | (u_arr >= 1.0)):
         raise ValidationError("normal_quantile is defined on the open interval (0, 1)")

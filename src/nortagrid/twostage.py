@@ -10,6 +10,8 @@ given protection x and water height delta, a bus survives iff x >= delta
 scenario, split into one LP per energized component, and survival
 patterns and components can be cached and shared across every
 evaluation path (SAA, branch-and-bound bounds, out-of-sample sweeps).
+Every path scores a whole batch of height vectors against all scenarios
+with one lookup in a sorted table of survival patterns.
 
 Most components never reach the simplex: the proportional copper-plate
 dispatch, which serves min(total demand, total generation), is checked
@@ -25,7 +27,8 @@ import numpy as np
 
 from . import lp
 from .errors import RecourseError, ResourceLimitError, ValidationError
-from .grid import BUDGET_SLACK, GridInstance, HardeningPlan, _components, _survival
+from .grid import (BUDGET_SLACK, GridInstance, HardeningPlan, _components,
+                   _substation_survival)
 from .norta import ScenarioSet
 from .stats import spread
 
@@ -93,22 +96,26 @@ def _check_columns(grid, scenarios, what):
             f"the grid's flooded substations ({', '.join(map(str, ids))})")
 
 
-def _survival_key(z):
-    """Cache key of bus-level survival z, packed 8 buses to a byte (exact
-    for any bus count); a K x n_buses z gives its K row keys as a list."""
-    packed = np.ascontiguousarray(np.packbits(z, axis=-1))
-    if packed.ndim == 1:
-        return packed.tobytes()
-    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+def _survival_key(alive):
+    """Pattern-table key of substation survival: each row of a
+    (..., n_flooded + 1) bool array from grid._substation_survival,
+    packed 8 substations to a byte and viewed as one opaque np.void item.
+    Keys compare, sort and search bytewise, so they are exact for any
+    n_flooded; the always-True safe column keeps them at least one byte
+    wide, even with no flooded substation."""
+    packed = np.packbits(alive, axis=-1)
+    return packed.view(np.dtype((np.void, packed.shape[-1])))[..., 0]
 
 
 class RecourseSolver:
     """Solves recourse one energized component at a time, memoizing by
     survival pattern and by component.
 
-    The LP depends on the scenario and plan only through the per-bus
-    survival vector z, so one grid needs at most 2^|flooded| distinct
+    The LP depends on the scenario and plan only through which flooded
+    substations survive, so one grid needs at most 2^|flooded| distinct
     patterns no matter how many (plan, scenario) pairs are evaluated.
+    Their sheds live in one table, sorted by _survival_key, that `sheds`
+    searches a whole batch at a time.
     The connected components of a pattern's operational network share
     no constraint (every balance row, flow row and angle reference stays
     inside one), so each is solved on its own, cached by its bus mask
@@ -125,7 +132,9 @@ class RecourseSolver:
         self.grid = grid
         self._susceptance = np.array([r.susceptance for r in grid.branches])
         self._capacity = np.array([r.capacity for r in grid.branches])
-        self._shed_cache: dict[bytes, float] = {}
+        width = len(grid.flooded_ids) // 8 + 1  # bytes of a _survival_key
+        self._pattern_keys = np.empty(0, dtype=np.dtype((np.void, width)))
+        self._pattern_sheds = np.empty(0)
         self._component_cache: dict[bytes, np.ndarray] = {}
         self.certified = 0
         self.lp_solves = 0
@@ -221,7 +230,7 @@ class RecourseSolver:
         mask: the copper-plate point where it is certified, else the LP's."""
         mask = np.zeros(self.grid.n_buses, dtype=bool)
         mask[buses] = True
-        key = _survival_key(mask)
+        key = np.packbits(mask).tobytes()
         x = self._component_cache.get(key)
         if x is None:
             x = self._copper_plate_x(buses, branches)
@@ -264,61 +273,84 @@ class RecourseSolver:
         np.add.at(flow, g.head_idx, e)
         np.add.at(flow, g.tail_idx, -e)
         residual = float(np.max(np.abs(flow - gen + s), initial=0.0))
-        self._shed_cache[_survival_key(z)] = shed
         return RecourseSolution(z=z, s=s, g=gen, alpha=alpha, e=e, shed=shed,
                                 balance_residual=residual)
 
     def shed_for_topology(self, z) -> float:
-        z = np.asarray(z, dtype=bool)
-        try:
-            return self._shed_cache[_survival_key(z)]
-        except KeyError:
-            return self.solve_topology(z).shed
+        """Shed of one bus-level survival pattern z, solved on the
+        component cache; `sheds` calls it once per new pattern."""
+        return self.solve_topology(z).shed
 
-    def sheds(self, heights, deltas) -> list:
-        """Shed under each scenario row of deltas (K x flooded), in order.
-        All K keys come from one batch; only misses reach the LP, and a
-        failing LP raises RecourseError with its row as scenario_index."""
-        z = _survival(self.grid, heights, deltas)
-        cache = self._shed_cache
-        out = []
-        for k, key in enumerate(_survival_key(z)):
-            shed = cache.get(key)
-            if shed is None:
+    def _find(self, keys):
+        """Table position of each key and whether it is there."""
+        table = self._pattern_keys
+        pos = np.searchsorted(table, keys)
+        if not table.size:
+            return pos, np.zeros(keys.size, dtype=bool)
+        # A key past the last entry compares against the last entry.
+        return pos, table.take(pos, mode="clip") == keys
+
+    def sheds(self, heights, deltas) -> np.ndarray:
+        """Shed under every pair of a height vector and a scenario row of
+        deltas (K x flooded): K values for one vector, C x K for a
+        C x flooded batch. One searchsorted of the pattern table finds
+        every hit; each distinct miss goes once through shed_for_topology,
+        in order of first appearance, and a failing LP raises
+        RecourseError with its scenario row as scenario_index."""
+        alive = _substation_survival(np.asarray(heights)[..., None, :], deltas)
+        keys = _survival_key(alive)
+        flat = keys.ravel()
+        pos, hit = self._find(flat)
+        if not hit.all():
+            miss = np.flatnonzero(~hit)
+            new = miss[np.sort(np.unique(flat[miss], return_index=True)[1])]
+            alive = alive.reshape(-1, alive.shape[-1])
+            sheds = []
+            for j in new:
                 try:
-                    shed = self.shed_for_topology(z[k])
+                    sheds.append(self.shed_for_topology(alive[j, self.grid.bus_flood_pos]))
                 except RecourseError as exc:
                     raise RecourseError(str(exc), lp_status=exc.lp_status,
-                                        scenario_index=k) from exc
-            out.append(shed)
-        return out
+                                        scenario_index=int(j % len(deltas))) from exc
+            table = np.concatenate([self._pattern_keys, flat[new]])
+            order = np.argsort(table, kind="stable")
+            self._pattern_keys = table[order]
+            self._pattern_sheds = np.concatenate([self._pattern_sheds, sheds])[order]
+            pos = self._find(flat)[0]
+        return self._pattern_sheds[pos].reshape(keys.shape)
 
 
 class _SaaEvaluator:
-    """Scenario-averaged shed for height vectors, on a shared solver."""
+    """Scenario-averaged shed for batches of height vectors, on a shared
+    solver."""
 
     def __init__(self, problem: TwoStageProblem, solver: RecourseSolver):
         self.problem = problem
         self.solver = solver
         self.deltas = problem.scenarios.scenarios
-        self.probs = problem.scenarios.probs.tolist()
+        self.probs = problem.scenarios.probs
 
     def mean_shed(self, heights):
-        # Left to right from 0.0: the summation order is part of the value.
-        total = 0.0
-        for p, shed in zip(self.probs, self.solver.sheds(heights, self.deltas)):
-            total += p * shed
-        return total
+        """sum_k p_k shed_k for each row of heights (C x flooded),
+        accumulated left to right from 0.0. The summation order is part
+        of the value: cumsum adds in sequence, where a sum, dot or @
+        could reorder, so no value depends on the batch it is in."""
+        sheds = self.solver.sheds(heights, self.deltas)
+        acc = np.zeros((sheds.shape[0], sheds.shape[1] + 1))
+        np.multiply(self.probs, sheds, out=acc[:, 1:])
+        return np.cumsum(acc, axis=1)[:, -1]
 
     def objective(self, heights):
-        return self.problem.stage_cost(heights) + self.mean_shed(heights)
+        """First-stage cost plus mean shed of each row, as floats."""
+        stage = np.array([self.problem.stage_cost(h) for h in heights])
+        return (stage + self.mean_shed(heights)).tolist()
 
 
 def saa_objective(problem: TwoStageProblem, plan: HardeningPlan, *, solver=None):
     """First-stage cost plus probability-weighted recourse shed."""
     plan.check_feasible(problem.grid, budget=math.inf)
     solver = solver or RecourseSolver(problem.grid)
-    return _SaaEvaluator(problem, solver).objective(plan.heights)
+    return _SaaEvaluator(problem, solver).objective(plan.heights[None])[0]
 
 
 def _search_data(problem: TwoStageProblem):
@@ -368,6 +400,15 @@ def solve_first_stage(problem: TwoStageProblem, budget=None, *,
     or an angle binds it is assumed, not checked. Pruning is strict so
     tying optima survive; among them the lexicographically smallest
     height vector is returned, with its SAA value.
+
+    A node scores its children in one batch: all their bounds once an
+    incumbent exists (each child would compute its own anyway), and at
+    the last level all its leaves, the tallest of which is that node's
+    own bound pattern. A node on the first path down, which has no
+    incumbent yet, scores its later children once its first child has
+    returned. So the search scores the same height vectors, visits the
+    same nodes and makes the same pruning decisions as one that scores
+    each child alone.
     """
     grid = problem.grid
     if budget is None:
@@ -381,21 +422,33 @@ def solve_first_stage(problem: TwoStageProblem, budget=None, *,
 
     if nf == 0:
         plan = HardeningPlan(np.zeros(0, dtype=int))
-        return plan, evaluator.objective(plan.heights)
+        return plan, evaluator.objective(plan.heights[None])[0]
 
     x = np.zeros(nf, dtype=int)
     best_val = math.inf
     best_x = None
     nodes = 0
+    limit = budget + BUDGET_SLACK
+    # Heights above a cap cost inf, so each row ends where its cap does.
+    level_rows = level.tolist()
 
-    def bound_heights(depth, cost):
-        # Costs rise with height, so the affordable heights are 1..count.
-        rest = order[depth:]
-        h = x.copy()
-        h[rest] = np.count_nonzero(cost + level[rest, 1:] <= budget + BUDGET_SLACK, axis=1)
-        return h
+    def score(depth, hs, costs):
+        """Value of each child x[order[depth]] = hs[r], reached at cost
+        costs[r]: a leaf's objective, or an inner child's bound -- the
+        stage cost of its assigned prefix (undecided entries of x are
+        still 0) plus the mean shed with every later substation at the
+        tallest height whose own cost fits the budget left. Costs rise
+        with height, so the affordable heights are 1..count."""
+        rest = order[depth + 1:]
+        rows = np.repeat(x[None], len(hs), axis=0)
+        rows[:, order[depth]] = hs
+        stage = np.array([problem.stage_cost(r) for r in rows])
+        rows[:, rest] = (np.asarray(costs)[:, None, None] + level[rest, 1:] <= limit).sum(axis=2)
+        return (stage + evaluator.mean_shed(rows)).tolist()
 
-    def dfs(depth, cost):
+    def dfs(depth, cost, value):
+        """value: a leaf's objective, or the node's bound when an
+        incumbent existed as its parent scored it (else None)."""
         nonlocal best_val, best_x, nodes
         nodes += 1
         if nodes > node_budget:
@@ -403,28 +456,32 @@ def solve_first_stage(problem: TwoStageProblem, budget=None, *,
                 f"branch-and-bound exceeded {node_budget} nodes; "
                 "consider greedy_first_stage for an approximate plan")
         if depth == nf:
-            val = evaluator.objective(x)
-            if val < best_val or (val == best_val and tuple(x) < tuple(best_x)):
-                best_val = val
+            if value < best_val or (value == best_val and tuple(x) < tuple(best_x)):
+                best_val = value
                 best_x = x.copy()
             return
-        if best_x is not None:
-            # Undecided entries of x are still 0, so this is the cost of
-            # the assigned prefix alone; strict comparison keeps tying
-            # optima alive for the lexicographic tie-break.
-            bound = problem.stage_cost(x) + evaluator.mean_shed(bound_heights(depth, cost))
-            if bound > best_val:
-                return
+        # Strict comparison keeps tying optima alive for the
+        # lexicographic tie-break.
+        if value is not None and value > best_val:
+            return
         i = order[depth]
-        for h in range(caps[i] + 1):
-            step = level[i, h]
-            if cost + step > budget + BUDGET_SLACK:
+        costs = []
+        for step in level_rows[i]:
+            if cost + step > limit:
                 break
+            costs.append(cost + step)
+        hs = range(len(costs))
+        values = None
+        if best_x is not None or depth == nf - 1:
+            values = score(depth, hs, costs)
+        for h in hs:
+            if values is None and best_x is not None:
+                values = [None] * h + score(depth, hs[h:], costs[h:])
             x[i] = h
-            dfs(depth + 1, cost + step)
+            dfs(depth + 1, costs[h], None if values is None else values[h])
         x[i] = 0
 
-    dfs(0, 0.0)
+    dfs(0, 0.0, None)
     assert best_x is not None
     return HardeningPlan(best_x), best_val
 
@@ -437,10 +494,10 @@ def greedy_first_stage(problem: TwoStageProblem, budget=None, *, solver=None):
     single-unit moves would stall on plateaus). The move with the best
     objective reduction per unit of extra cost wins, ties going to the
     smallest substation index and then the lowest target height, until
-    nothing affordable improves. Returns (plan, SAA objective), same
-    shape as solve_first_stage. With one flooded substation every
-    feasible height is a single move away, so the result matches the
-    exact solver.
+    nothing affordable improves. Each round scores all its affordable
+    moves in one batch. Returns (plan, SAA objective), same shape as
+    solve_first_stage. With one flooded substation every feasible height
+    is a single move away, so the result matches the exact solver.
     """
     grid = problem.grid
     if budget is None:
@@ -450,25 +507,27 @@ def greedy_first_stage(problem: TwoStageProblem, budget=None, *, solver=None):
     evaluator = _SaaEvaluator(problem, solver)
     nf, caps, _, level = _search_data(problem)
     x = np.zeros(nf, dtype=int)
-    current = evaluator.objective(x)
+    current = evaluator.objective(x[None])[0]
     while True:
         spent = sum(level[i, x[i]] for i in range(nf))
-        best = None  # (ratio, index, target height, value)
+        moves = []  # (index, target height, extra cost), in scan order
         for i in range(nf):
             for h in range(x[i] + 1, caps[i] + 1):
                 extra = level[i, h] - level[i, x[i]]
                 if spent + extra > budget + BUDGET_SLACK:
                     break
-                old = x[i]
-                x[i] = h
-                val = evaluator.objective(x)
-                x[i] = old
-                reduction = current - val
-                if reduction <= 1e-12:
-                    continue
-                ratio = reduction / max(extra, 1e-12)
-                if best is None or ratio > best[0] + 1e-15:
-                    best = (ratio, i, h, val)
+                moves.append((i, h, extra))
+        rows = np.repeat(x[None], len(moves), axis=0)
+        for row, (i, h, _) in zip(rows, moves):
+            row[i] = h
+        best = None  # (ratio, index, target height, value)
+        for (i, h, extra), val in zip(moves, evaluator.objective(rows)):
+            reduction = current - val
+            if reduction <= 1e-12:
+                continue
+            ratio = reduction / max(extra, 1e-12)
+            if best is None or ratio > best[0] + 1e-15:
+                best = (ratio, i, h, val)
         if best is None:
             break
         _, i, h, val = best
@@ -524,7 +583,7 @@ def evaluate_oos(problem: TwoStageProblem, plan: HardeningPlan,
     _check_columns(grid, synthetic, "synthetic")
     plan.check_feasible(grid, budget=math.inf)
     solver = solver or RecourseSolver(grid)
-    sheds = np.array(solver.sheds(plan.heights, synthetic.scenarios))
+    sheds = solver.sheds(plan.heights, synthetic.scenarios)
     mean = float(synthetic.probs @ sheds)
     std, lo, q25, q50, q75, hi = spread(sheds)
     fs_cost = problem.stage_cost(plan.heights)

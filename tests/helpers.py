@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 
+from nortagrid.errors import ResourceLimitError
 from nortagrid.grid import (
+    BUDGET_SLACK,
     Branch,
     Bus,
     GridInstance,
@@ -26,7 +28,7 @@ from nortagrid import norta
 from nortagrid.lp import LpProblem
 from nortagrid.norta import FitReport, PairMatch, RhoMatch, ScenarioSet
 from nortagrid.stats import EmpiricalMarginal, normal_cdf, normal_score_thresholds
-from nortagrid.twostage import RecourseSolver, TwoStageProblem
+from nortagrid.twostage import RecourseSolver, TwoStageProblem, _SaaEvaluator, _search_data
 
 
 def ar1_height_panel(k=16, dim=72, seed=42):
@@ -73,7 +75,7 @@ def star_grid(n_flooded=2, demand=5.0, budget=100.0, susceptance=1000.0):
 
 
 def small_instance(seed, *, n_substations=None, n_flooded=None, n_scenarios=None,
-                   max_height=3, budget=None):
+                   max_height=3, budget=None, capacity_slack=1.2):
     """Random capacity-adequate instance small enough for enumeration."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 5)) if n_substations is None else n_substations
@@ -88,6 +90,7 @@ def small_instance(seed, *, n_substations=None, n_flooded=None, n_scenarios=None
         max_height=max_height,
         budget=float(rng.uniform(0.0, 12.0)) if budget is None else budget,
         seed=int(rng.integers(0, 2 ** 31)),
+        capacity_slack=capacity_slack,
     )
     return generate_instance(spec)
 
@@ -131,6 +134,91 @@ def per_scenario_mean_shed(problem: TwoStageProblem, solver, heights):
         z = operational_topology(problem.grid, plan, scen.scenarios[k])
         total += scen.probs[k] * solver.shed_for_topology(z)
     return total
+
+
+def per_node_first_stage(problem: TwoStageProblem, budget, *, node_budget=10 ** 6,
+                         solver=None):
+    """solve_first_stage scoring one height vector at a time: each node
+    past the first incumbent scores its own bound as a one-row batch,
+    and each leaf its own objective. The batched search must return the
+    same plan and value bit for bit, leave the same pattern table and
+    visit as many nodes. Returns (heights, value, nodes)."""
+    solver = solver or RecourseSolver(problem.grid)
+    evaluator = _SaaEvaluator(problem, solver)
+    nf, caps, max_h, level = _search_data(problem)
+    order = np.argsort(-max_h, kind="stable")
+    x = np.zeros(nf, dtype=int)
+    best = [math.inf, None]
+    nodes = 0
+
+    def bound_heights(depth, cost):
+        rest = order[depth:]
+        h = x.copy()
+        h[rest] = np.count_nonzero(cost + level[rest, 1:] <= budget + BUDGET_SLACK, axis=1)
+        return h
+
+    def dfs(depth, cost):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise ResourceLimitError(f"branch-and-bound exceeded {node_budget} nodes")
+        if depth == nf:
+            val = evaluator.objective(x[None])[0]
+            if val < best[0] or (val == best[0] and tuple(x) < tuple(best[1])):
+                best[:] = val, x.copy()
+            return
+        if best[1] is not None:
+            shed = evaluator.mean_shed(bound_heights(depth, cost)[None])[0]
+            if problem.stage_cost(x) + shed > best[0]:
+                return
+        i = order[depth]
+        for h in range(caps[i] + 1):
+            step = level[i, h]
+            if cost + step > budget + BUDGET_SLACK:
+                break
+            x[i] = h
+            dfs(depth + 1, cost + step)
+        x[i] = 0
+
+    dfs(0, 0.0)
+    return best[1], best[0], nodes
+
+
+def per_move_greedy(problem: TwoStageProblem, budget, *, solver=None):
+    """greedy_first_stage scoring each candidate move alone, as a
+    one-row batch. Returns (heights, value)."""
+    solver = solver or RecourseSolver(problem.grid)
+    evaluator = _SaaEvaluator(problem, solver)
+    nf, caps, _, level = _search_data(problem)
+    x = np.zeros(nf, dtype=int)
+    current = evaluator.objective(x[None])[0]
+    while True:
+        spent = sum(level[i, x[i]] for i in range(nf))
+        best = None
+        for i in range(nf):
+            for h in range(x[i] + 1, caps[i] + 1):
+                extra = level[i, h] - level[i, x[i]]
+                if spent + extra > budget + BUDGET_SLACK:
+                    break
+                old = x[i]
+                x[i] = h
+                val = evaluator.objective(x[None])[0]
+                x[i] = old
+                reduction = current - val
+                if reduction <= 1e-12:
+                    continue
+                ratio = reduction / max(extra, 1e-12)
+                if best is None or ratio > best[0] + 1e-15:
+                    best = (ratio, i, h, val)
+        if best is None:
+            return x, current
+        _, i, h, current = best
+        x[i] = h
+
+
+def pattern_table(solver):
+    """A solver's pattern table as {key bytes: shed}."""
+    return dict(zip(solver._pattern_keys.tolist(), solver._pattern_sheds.tolist()))
 
 
 def _combo_cache():

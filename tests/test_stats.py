@@ -5,10 +5,15 @@ The normal CDF/quantile reference values were computed once with
 these tests do not depend on any other library being installed.
 """
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nortagrid
 from nortagrid.errors import ValidationError
 from nortagrid.stats import (
     ConstantVectorError,
@@ -302,3 +307,25 @@ class TestCheckCorrelationMatrix:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValidationError):
             check_correlation_matrix(np.ones((2, 3)))
+
+
+class TestScipyLoadedAtFirstUse:
+    """Only fit and generate need scipy (normal_cdf, normal_quantile), so
+    importing the CLI must not load it: it is most of a fresh start-up."""
+
+    @staticmethod
+    def modules_after(code):
+        root = str(Path(nortagrid.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code + "; import sys; print('scipy.special' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()[-1]
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        assert self.modules_after("import nortagrid.cli") == "False"
+
+    def test_first_normal_cdf_call_loads_it(self):
+        code = "from nortagrid.stats import normal_cdf; normal_cdf(0.5)"
+        assert self.modules_after(code) == "True"

@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 from helpers import (
     energized_components,
     enumerate_first_stage,
+    pattern_table,
+    per_move_greedy,
+    per_node_first_stage,
     per_scenario_mean_shed,
     small_instance,
     star_grid,
@@ -367,18 +370,36 @@ class TestSaaObjective:
         assert saa_objective(prob, HardeningPlan.zero(g)) == pytest.approx(1.25)
 
 
+def oracle_pattern_table(problem, solver, plans):
+    """{key: shed} of every (plan, scenario) pair, each pattern solved
+    alone by shed_for_topology; the key is the flooded substations'
+    survival with an always-True safe bit, packed 8 to a byte."""
+    table = {}
+    for h in plans:
+        for delta in problem.scenarios.scenarios:
+            key = np.packbits(np.append(np.asarray(h) >= delta, True)).tobytes()
+            z = operational_topology(problem.grid, HardeningPlan(np.asarray(h)), delta)
+            table[key] = solver.shed_for_topology(z)
+    return table
+
+
 class TestBatchedSaa:
     """The batched mean_shed against the one-scenario-at-a-time loop."""
 
     @staticmethod
     def assert_matches_oracle(problem, plans):
-        batched = _SaaEvaluator(problem, RecourseSolver(problem.grid))
         oracle_solver = RecourseSolver(problem.grid)
-        for h in plans:
-            want = per_scenario_mean_shed(problem, oracle_solver, h)
-            got = batched.mean_shed(np.asarray(h))
-            assert got == want, (list(h), got, want)  # bit for bit
-        assert batched.solver._shed_cache == oracle_solver._shed_cache
+        want = [per_scenario_mean_shed(problem, oracle_solver, h) for h in plans]
+        want_table = oracle_pattern_table(problem, oracle_solver, plans)
+        # One C x flooded batch, and one one-row batch per plan.
+        whole = _SaaEvaluator(problem, RecourseSolver(problem.grid))
+        got = whole.mean_shed(np.array(plans)).tolist()
+        assert got == want  # bit for bit
+        rows = _SaaEvaluator(problem, RecourseSolver(problem.grid))
+        for h, w in zip(plans, want):
+            got = rows.mean_shed(np.asarray(h)[None])[0]
+            assert got == w, (list(h), got, w)
+        assert pattern_table(whole.solver) == pattern_table(rows.solver) == want_table
 
     def test_random_instances(self):
         rng = np.random.default_rng(17)
@@ -392,6 +413,17 @@ class TestBatchedSaa:
         rng = np.random.default_rng(18)
         for trial in range(6):
             grid, scen = small_instance(720 + trial)
+            probs = rng.dirichlet(np.ones(scen.n_scenarios))
+            weighted = ScenarioSet(scen.scenarios, probs / probs.sum(), columns=scen.columns)
+            caps = np.array([grid.substation(s).max_height for s in grid.flooded_ids])
+            plans = [rng.integers(0, caps + 1) for _ in range(6)]
+            self.assert_matches_oracle(TwoStageProblem(grid, weighted), plans)
+
+    def test_many_scenarios(self):
+        # Past 8 scenarios a sum or dot would add in another order.
+        rng = np.random.default_rng(20)
+        for trial in range(6):
+            grid, scen = small_instance(740 + trial, n_scenarios=24, capacity_slack=0.3)
             probs = rng.dirichlet(np.ones(scen.n_scenarios))
             weighted = ScenarioSet(scen.scenarios, probs / probs.sum(), columns=scen.columns)
             caps = np.array([grid.substation(s).max_height for s in grid.flooded_ids])
@@ -412,13 +444,75 @@ class TestBatchedSaa:
             h[-3:] = rng.integers(0, 4, size=3)
             plans.append(h)
         self.assert_matches_oracle(problem, plans)
-        z = np.ones(grid.n_buses, dtype=bool)
-        assert len(_survival_key(z)) == 9
-        low, high = z.copy(), z.copy()
-        low[63], high[66] = False, False
-        keys = _survival_key(np.stack([z, low, high]))
-        assert len(set(keys)) == 3
-        assert keys == [_survival_key(row) for row in (z, low, high)]
+        # 66 flooded substations and the safe bit: 67 bits in 9 bytes.
+        alive = np.ones(67, dtype=bool)
+        low, high = alive.copy(), alive.copy()
+        low[63], high[65] = False, False
+        keys = _survival_key(np.stack([alive, low, high]))
+        assert keys.dtype.itemsize == 9
+        assert len(set(keys.tolist())) == 3
+        assert keys.tolist() == [_survival_key(row).tobytes() for row in (alive, low, high)]
+
+    def test_no_flooded_substation_keys_one_byte(self):
+        grid, scen = generate_instance(InstanceSpec(n_substations=2, n_flooded=0,
+                                                    n_scenarios=3, seed=0))
+        solver = RecourseSolver(grid)
+        sheds = solver.sheds(np.zeros((2, 0), dtype=int), scen.scenarios)
+        assert sheds.shape == (2, 3) and np.all(sheds == sheds[0, 0])
+        assert solver._pattern_keys.tolist() == [b"\x80"]
+
+
+class TestBatchedSearch:
+    """solve_first_stage and greedy_first_stage, which score whole
+    batches, against the one-vector-at-a-time searches in helpers."""
+
+    @staticmethod
+    def instances():
+        rng = np.random.default_rng(23)
+        for trial in range(24):
+            # Every third instance binds lines, every other one has a
+            # first-stage cost.
+            slack = float(rng.uniform(0.03, 0.3)) if trial % 3 == 0 else 1.2
+            grid, scen = small_instance(900 + trial, max_height=3, capacity_slack=slack)
+            nf = len(grid.flooded_ids)
+            cost = rng.uniform(0.0, 1.5, size=nf) if trial % 2 else None
+            budget = float(rng.uniform(0.0, 12.0))
+            yield TwoStageProblem(grid, scen, first_stage_cost=cost), budget
+        # Symmetric spokes: many tied optima.
+        g = star_grid(n_flooded=3)
+        scen = uniform_scenarios([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], g.flooded_ids)
+        for budget in (2.0, 3.0, 5.0, 7.5):
+            yield TwoStageProblem(g, scen), budget
+
+    def test_branch_and_bound_matches_per_node_search(self):
+        certified = lp_solves = 0
+        for problem, budget in self.instances():
+            oracle = RecourseSolver(problem.grid)
+            want_x, want_val, nodes = per_node_first_stage(problem, budget, solver=oracle)
+            solver = RecourseSolver(problem.grid)
+            plan, val = solve_first_stage(problem, budget, solver=solver)
+            assert tuple(plan.heights) == tuple(want_x)
+            assert val == want_val  # bit for bit
+            assert pattern_table(solver) == pattern_table(oracle)
+            assert (solver.certified, solver.lp_solves) == (oracle.certified, oracle.lp_solves)
+            # The smallest node budget that succeeds is the same.
+            solve_first_stage(problem, budget, node_budget=nodes)
+            if nodes > 1:
+                with pytest.raises(ResourceLimitError):
+                    solve_first_stage(problem, budget, node_budget=nodes - 1)
+            certified += solver.certified
+            lp_solves += solver.lp_solves
+        assert certified > 0 and lp_solves > 0
+
+    def test_greedy_matches_per_move_greedy(self):
+        for problem, budget in self.instances():
+            oracle = RecourseSolver(problem.grid)
+            want_x, want_val = per_move_greedy(problem, budget, solver=oracle)
+            solver = RecourseSolver(problem.grid)
+            plan, val = greedy_first_stage(problem, budget, solver=solver)
+            assert tuple(plan.heights) == tuple(want_x)
+            assert val == want_val  # bit for bit
+            assert pattern_table(solver) == pattern_table(oracle)
 
 
 class TestTwoStageProblemValidation:

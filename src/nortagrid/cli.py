@@ -62,10 +62,14 @@ def _manifest(args, command, inputs, tolerances=None):
     }
 
 
-def _work(solver):
-    """How each recourse component was solved: counts that repeat exactly
-    on a re-run, so they may sit in the embedded manifest."""
-    return {"certified_components": solver.certified, "component_lps": solver.lp_solves}
+def _work(solver, exact=False):
+    """How each recourse component was solved, and for an exact search
+    how many branch-and-bound nodes it visited: counts that repeat
+    exactly on a re-run, so they may sit in the embedded manifest."""
+    work = {"certified_components": solver.certified, "component_lps": solver.lp_solves}
+    if exact:
+        work["bb_nodes"] = solver.bb_nodes
+    return work
 
 
 def _write_sidecar(path, manifest):
@@ -380,7 +384,7 @@ def cmd_solve(args):
     manifest = _manifest(args, "solve", [args.grid, args.scenarios], tolerances={
         "lp_feas_tol": lp.FEAS_TOL, "lp_opt_tol": lp.OPT_TOL, "budget_slack": BUDGET_SLACK,
     })
-    manifest["work"] = _work(solver)
+    manifest["work"] = _work(solver, exact=args.method == "exact")
     payload = {
         "format": "nortagrid-plan",
         "method": args.method,
@@ -425,7 +429,7 @@ def cmd_sweep(args):
                          [args.grid, args.scenarios, args.synthetic],
                          tolerances={"lp_feas_tol": lp.FEAS_TOL, "lp_opt_tol": lp.OPT_TOL,
                                      "budget_slack": BUDGET_SLACK})
-    manifest["work"] = _work(solver)
+    manifest["work"] = _work(solver, exact=True)
     _emit_reports(args, reports, manifest)
 
 
@@ -542,6 +546,12 @@ def main(argv=None):
         return 2
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if exc.plan is not None:
+            print(f"best plan so far: heights {exc.plan.heights.tolist()} (flooded substations "
+                  f"in grid order), value {exc.value:.6g}, bound {exc.bound:.6g}, "
+                  f"gap {exc.value - exc.bound:.6g}", file=sys.stderr)
+        elif exc.bound is not None:
+            print(f"no plan found yet; bound {exc.bound:.6g}", file=sys.stderr)
         return 4
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,4 +28,16 @@ class RecourseError(NumericalError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An explicit work budget (e.g. branch-and-bound node count) was hit."""
+    """An explicit work budget (e.g. branch-and-bound node count) was hit.
+
+    A search stopped early carries what it has: its best plan so far
+    (None before the first one) and that plan's value, a lower bound on
+    the optimum, and the nodes it visited.
+    """
+
+    def __init__(self, message, *, plan=None, value=None, bound=None, nodes=None):
+        super().__init__(message)
+        self.plan = plan
+        self.value = value
+        self.bound = bound
+        self.nodes = nodes

@@ -430,7 +430,7 @@ def generate_instance(spec: InstanceSpec):
     or angle binds: recourse reduces to component-wise generation
     adequacy, every component is served in closed form (see
     twostage.RecourseSolver), and shed is provably non-increasing in
-    protection (the property the first-stage bound relies on). Lines
+    protection (the exact first-stage search does not rely on it). Lines
     bind only at a much smaller capacity_slack: on 32-bus instances
     below ~0.15, on instances of a few buses below ~0.7.
     """

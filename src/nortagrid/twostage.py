@@ -107,6 +107,39 @@ def _survival_key(alive):
     return packed.view(np.dtype((np.void, packed.shape[-1])))[..., 0]
 
 
+class _KeyTable:
+    """Rows of values under np.void keys, kept sorted by key so that a
+    whole batch of keys is found with one searchsorted. Keys compare
+    bytewise, so they are exact at any width."""
+
+    def __init__(self, width, row_shape=()):
+        self.keys = np.empty(0, dtype=np.dtype((np.void, width)))
+        self.values = np.empty((0, *row_shape))
+
+    def _find(self, keys):
+        pos = np.searchsorted(self.keys, keys)
+        if not self.keys.size:
+            return pos, np.zeros(keys.size, dtype=bool)
+        # A key past the last entry compares against the last entry.
+        return pos, self.keys.take(pos, mode="clip") == keys
+
+    def positions(self, keys, compute):
+        """Position in `values` of each of keys (1-D). Distinct keys not
+        in the table yet are added first: compute gets the indices of
+        their first occurrences in keys, in order of appearance, and
+        returns their rows of values."""
+        pos, hit = self._find(keys)
+        if not hit.all():
+            miss = np.flatnonzero(~hit)
+            new = miss[np.sort(np.unique(keys[miss], return_index=True)[1])]
+            values = np.concatenate([self.values, compute(new)])
+            table = np.concatenate([self.keys, keys[new]])
+            order = np.argsort(table, kind="stable")
+            self.keys, self.values = table[order], values[order]
+            pos = self._find(keys)[0]
+        return pos
+
+
 class RecourseSolver:
     """Solves recourse one energized component at a time, memoizing by
     survival pattern and by component.
@@ -125,19 +158,19 @@ class RecourseSolver:
     Each component is first certified by its copper-plate point (see
     _copper_plate_x); only where that point breaks a line or an angle
     bound does the component's LP run. `certified` and `lp_solves`
-    count the two routes, one per component-cache miss.
+    count the two routes, one per component-cache miss; `bb_nodes`
+    counts the nodes of every solve_first_stage search run on it.
     """
 
     def __init__(self, grid: GridInstance):
         self.grid = grid
         self._susceptance = np.array([r.susceptance for r in grid.branches])
         self._capacity = np.array([r.capacity for r in grid.branches])
-        width = len(grid.flooded_ids) // 8 + 1  # bytes of a _survival_key
-        self._pattern_keys = np.empty(0, dtype=np.dtype((np.void, width)))
-        self._pattern_sheds = np.empty(0)
+        self._patterns = _KeyTable(len(grid.flooded_ids) // 8 + 1)  # _survival_key -> shed
         self._component_cache: dict[bytes, np.ndarray] = {}
         self.certified = 0
         self.lp_solves = 0
+        self.bb_nodes = 0
 
     def _layout(self, buses, branches):
         """Position of the angle reference (the lowest-id bus) and of each
@@ -281,43 +314,36 @@ class RecourseSolver:
         component cache; `sheds` calls it once per new pattern."""
         return self.solve_topology(z).shed
 
-    def _find(self, keys):
-        """Table position of each key and whether it is there."""
-        table = self._pattern_keys
-        pos = np.searchsorted(table, keys)
-        if not table.size:
-            return pos, np.zeros(keys.size, dtype=bool)
-        # A key past the last entry compares against the last entry.
-        return pos, table.take(pos, mode="clip") == keys
-
     def sheds(self, heights, deltas) -> np.ndarray:
         """Shed under every pair of a height vector and a scenario row of
         deltas (K x flooded): K values for one vector, C x K for a
-        C x flooded batch. One searchsorted of the pattern table finds
-        every hit; each distinct miss goes once through shed_for_topology,
-        in order of first appearance, and a failing LP raises
-        RecourseError with its scenario row as scenario_index."""
+        C x flooded batch."""
         alive = _substation_survival(np.asarray(heights)[..., None, :], deltas)
+        return self.pattern_sheds(alive, np.arange(len(deltas)))
+
+    def pattern_sheds(self, alive, scenario) -> np.ndarray:
+        """Shed of each substation-survival row of alive (..., flooded + 1,
+        as from grid._substation_survival), from the pattern table. One
+        searchsorted finds every hit; each distinct miss goes once
+        through shed_for_topology, in order of first appearance, and a
+        failing LP raises RecourseError naming the row's entry of
+        scenario (broadcast over alive's leading axes) as scenario_index."""
         keys = _survival_key(alive)
-        flat = keys.ravel()
-        pos, hit = self._find(flat)
-        if not hit.all():
-            miss = np.flatnonzero(~hit)
-            new = miss[np.sort(np.unique(flat[miss], return_index=True)[1])]
-            alive = alive.reshape(-1, alive.shape[-1])
+        flat = alive.reshape(-1, alive.shape[-1])
+        scenario = np.broadcast_to(scenario, keys.shape)
+
+        def solve(new):
             sheds = []
             for j in new:
                 try:
-                    sheds.append(self.shed_for_topology(alive[j, self.grid.bus_flood_pos]))
+                    sheds.append(self.shed_for_topology(flat[j, self.grid.bus_flood_pos]))
                 except RecourseError as exc:
                     raise RecourseError(str(exc), lp_status=exc.lp_status,
-                                        scenario_index=int(j % len(deltas))) from exc
-            table = np.concatenate([self._pattern_keys, flat[new]])
-            order = np.argsort(table, kind="stable")
-            self._pattern_keys = table[order]
-            self._pattern_sheds = np.concatenate([self._pattern_sheds, sheds])[order]
-            pos = self._find(flat)[0]
-        return self._pattern_sheds[pos].reshape(keys.shape)
+                                        scenario_index=int(scenario.flat[j])) from exc
+            return sheds
+
+        pos = self._patterns.positions(keys.ravel(), solve)
+        return self._patterns.values[pos].reshape(keys.shape)
 
 
 class _SaaEvaluator:
@@ -331,11 +357,15 @@ class _SaaEvaluator:
         self.probs = problem.scenarios.probs
 
     def mean_shed(self, heights):
-        """sum_k p_k shed_k for each row of heights (C x flooded),
-        accumulated left to right from 0.0. The summation order is part
-        of the value: cumsum adds in sequence, where a sum, dot or @
-        could reorder, so no value depends on the batch it is in."""
-        sheds = self.solver.sheds(heights, self.deltas)
+        """sum_k p_k shed_k for each row of heights (C x flooded)."""
+        return self.average(self.solver.sheds(heights, self.deltas))
+
+    def average(self, sheds):
+        """sum_k p_k sheds[c, k] for each row of a C x K array, accumulated
+        left to right from 0.0. The summation order is part of the value:
+        cumsum adds in sequence, where a sum, dot or @ could reorder, so
+        no value depends on the batch it is in, and a row that is no
+        larger entry by entry never averages larger."""
         acc = np.zeros((sheds.shape[0], sheds.shape[1] + 1))
         np.multiply(self.probs, sheds, out=acc[:, 1:])
         return np.cumsum(acc, axis=1)[:, -1]
@@ -379,36 +409,135 @@ def _check_node_budget(node_budget):
         raise ValidationError(f"node_budget must be an integer >= 1, got {node_budget!r}")
 
 
+class _WaitAndSee:
+    """Wait-and-see bound of branch-and-bound nodes (Madansky 1960):
+    every scenario protects, out of the substations the node leaves
+    undecided, the affordable set that sheds least in that scenario.
+
+    With the first n_dec substations of the search order decided,
+    scenario k fixes which decided substations survive. An undecided
+    substation i survives for free where delta_ki <= 0, is "needy"
+    where its lowest surviving height need_ki = ceil(delta_ki) is
+    within its cap, and otherwise cannot survive. m_k is the least shed
+    over the subsets S of needy substations whose cost, the sum of
+    level[i, need_ki], fits the budget left. Any leaf under the node
+    protects, in scenario k, exactly one such S, and S costs no more
+    than the leaf's own heights (costs rise with height), so m_k is at
+    most the leaf's shed. No monotonicity of shed in protection is
+    needed.
+
+    For each n_dec the subsets of every scenario are enumerated once,
+    under the whole budget and in order of cost; only affordable
+    subsets are ever built. For each (scenario, survival of the
+    decided substations) the running minimum of their sheds is kept,
+    so a node's m_k is one gather at the number of subsets it affords.
+    Subset costs are compared with one more BUDGET_SLACK than the
+    search's own, which can only add subsets: a last-bit difference in
+    a sum never drops the subset of a leaf the search would visit.
+    """
+
+    def __init__(self, evaluator, order, caps, level, limit):
+        self.evaluator = evaluator
+        self.order = order
+        self.limit = limit + BUDGET_SLACK
+        deltas = evaluator.deltas
+        need = np.ceil(deltas)
+        needy = (need >= 1) & (need <= caps)
+        subs = np.arange(len(caps))
+        self.need_cost = np.where(needy, level[subs, np.where(needy, need, 0).astype(int)],
+                                  np.inf)
+        self.free = need <= 0
+        k = len(deltas)
+        # Scenario index, 4 bytes big-endian, leads each cache key.
+        self.scenario_bytes = np.arange(k, dtype=">u4").view(np.uint8).reshape(k, 4)
+        self.tables = {}  # n_dec -> (costs, alive, _KeyTable)
+
+    def _subsets(self, n_dec):
+        """Affordable subsets of needy undecided substations per scenario,
+        cheapest first: their costs (K x T, padded with inf) and
+        survival rows (K x T x flooded + 1: the subset, the free
+        undecided substations and the safe bit alive, every decided
+        substation dead), with T the most any scenario has."""
+        k, nf = self.need_cost.shape
+        scen = np.arange(k)
+        cost = np.zeros(k)
+        alive = np.zeros((k, nf + 1), dtype=bool)
+        alive[:, -1] = True
+        undecided = self.order[n_dec:]
+        alive[:, undecided] = self.free[:, undecided]
+        for i in undecided:
+            add = np.flatnonzero(cost + self.need_cost[scen, i] <= self.limit)
+            grown = alive[add]
+            grown[:, i] = True
+            cost = np.concatenate([cost, cost[add] + self.need_cost[scen[add], i]])
+            scen = np.concatenate([scen, scen[add]])
+            alive = np.concatenate([alive, grown])
+        by = np.lexsort((cost, scen))
+        scen, cost, alive = scen[by], cost[by], alive[by]
+        count = np.bincount(scen, minlength=k)
+        rank = np.arange(scen.size) - np.repeat(np.cumsum(count) - count, count)
+        costs = np.full((k, count.max()), np.inf)
+        costs[scen, rank] = cost
+        padded = np.repeat(alive[rank == 0][:, None], count.max(), axis=1)
+        padded[scen, rank] = alive
+        return costs, padded
+
+    def _table(self, n_dec):
+        if n_dec not in self.tables:
+            costs, alive = self._subsets(n_dec)
+            width = 4 + (n_dec + 7) // 8
+            self.tables[n_dec] = costs, alive, _KeyTable(width, costs.shape[1:])
+        return self.tables[n_dec]
+
+    def __call__(self, n_dec, rows, left):
+        """Bound of each row of heights (C x flooded: the first n_dec
+        substations of the order decided, the rest 0) with left[c] of
+        the budget still to spend: its stage cost plus sum_k p_k m_k."""
+        costs, alive, table = self._table(n_dec)
+        deltas = self.evaluator.deltas
+        decided = self.order[:n_dec]
+        prefix = rows[:, None, decided] >= deltas[:, decided]  # C x K x n_dec
+        code = np.empty(prefix.shape[:2] + (table.keys.itemsize,), dtype=np.uint8)
+        code[..., :4] = self.scenario_bytes
+        code[..., 4:] = np.packbits(prefix, axis=-1)
+        keys = code.view(np.dtype((np.void, code.shape[-1])))[..., 0].ravel()
+
+        def running_min(new):
+            c, k = np.divmod(new, len(deltas))
+            patterns = alive[k].copy()
+            patterns[:, :, decided] = prefix[c, k][:, None]
+            sheds = self.evaluator.solver.pattern_sheds(patterns, k[:, None])
+            return np.minimum.accumulate(sheds, axis=1)
+
+        pos = table.positions(keys, running_min).reshape(prefix.shape[:2])
+        affords = np.count_nonzero(costs <= (left + BUDGET_SLACK)[:, None, None], axis=2)
+        m = table.values[pos, affords - 1]
+        stage = np.array([self.evaluator.problem.stage_cost(r) for r in rows])
+        return (stage + self.evaluator.average(m)).tolist()
+
+
 def solve_first_stage(problem: TwoStageProblem, budget=None, *,
                       node_budget=10 ** 6, solver=None):
     """Exact first stage by depth-first branch-and-bound.
 
     Substations are explored in order of descending worst-case flood
-    height, heights ascending from 0 up to min(max_height, worst
-    scenario height) -- taller protection is dominated. The node bound
-    hardens each undecided substation to the tallest height up to that
-    cap whose own cost fits the budget left (with the branching
-    BUDGET_SLACK, so no height the search would try is left out); pruning on
-    bound > incumbent is exact whenever shed is non-increasing in
-    protection. That is proven only where every component of both
-    patterns is certified by RecourseSolver's copper-plate point: shed
-    is then total demand minus the sum of min(D, G) over components,
-    protecting a bus only adds demand and generation to a component or
-    merges components, and min(D, G) is monotone and superadditive, so
-    the sum never falls. That covers the capacity-adequate instances
-    the generator emits by default (see generate_instance); where a line
-    or an angle binds it is assumed, not checked. Pruning is strict so
+    height, each child of a node raising the next one to a height from
+    min(max_height, worst scenario height) -- taller protection is
+    dominated -- down to 0, tallest first, so that a strong incumbent
+    appears on the first path down. A node scores all its children in
+    one batch: at the last level their leaves' objectives, elsewhere
+    their wait-and-see bounds (see _WaitAndSee). That bound is at most
+    the objective of every leaf under the child, on any grid, with no
+    assumption that shed falls as protection rises, and its float value
+    is too (per-scenario sheds no larger, averaged in the same order,
+    plus the stage cost of a prefix of the leaf's heights), so pruning
+    on bound > incumbent is exact. Pruning is strict so
     tying optima survive; among them the lexicographically smallest
     height vector is returned, with its SAA value.
 
-    A node scores its children in one batch: all their bounds once an
-    incumbent exists (each child would compute its own anyway), and at
-    the last level all its leaves, the tallest of which is that node's
-    own bound pattern. A node on the first path down, which has no
-    incumbent yet, scores its later children once its first child has
-    returned. So the search scores the same height vectors, visits the
-    same nodes and makes the same pruning decisions as one that scores
-    each child alone.
+    solver.bb_nodes counts the nodes visited. Past node_budget nodes
+    the search stops with ResourceLimitError, which carries the best
+    plan so far, its value, the root bound and the nodes visited.
     """
     grid = problem.grid
     if budget is None:
@@ -429,32 +558,22 @@ def solve_first_stage(problem: TwoStageProblem, budget=None, *,
     best_x = None
     nodes = 0
     limit = budget + BUDGET_SLACK
+    bound = _WaitAndSee(evaluator, order, caps, level, limit)
+    root_bound = bound(0, x[None], np.array([limit]))[0]
     # Heights above a cap cost inf, so each row ends where its cap does.
     level_rows = level.tolist()
 
-    def score(depth, hs, costs):
-        """Value of each child x[order[depth]] = hs[r], reached at cost
-        costs[r]: a leaf's objective, or an inner child's bound -- the
-        stage cost of its assigned prefix (undecided entries of x are
-        still 0) plus the mean shed with every later substation at the
-        tallest height whose own cost fits the budget left. Costs rise
-        with height, so the affordable heights are 1..count."""
-        rest = order[depth + 1:]
-        rows = np.repeat(x[None], len(hs), axis=0)
-        rows[:, order[depth]] = hs
-        stage = np.array([problem.stage_cost(r) for r in rows])
-        rows[:, rest] = (np.asarray(costs)[:, None, None] + level[rest, 1:] <= limit).sum(axis=2)
-        return (stage + evaluator.mean_shed(rows)).tolist()
-
     def dfs(depth, cost, value):
-        """value: a leaf's objective, or the node's bound when an
-        incumbent existed as its parent scored it (else None)."""
+        """value: a leaf's objective, or the node's bound."""
         nonlocal best_val, best_x, nodes
-        nodes += 1
-        if nodes > node_budget:
+        if nodes == node_budget:
+            found = best_x is not None
             raise ResourceLimitError(
-                f"branch-and-bound exceeded {node_budget} nodes; "
-                "consider greedy_first_stage for an approximate plan")
+                f"branch-and-bound exceeded {node_budget} nodes at budget {budget:g}; "
+                "consider greedy_first_stage for an approximate plan",
+                plan=HardeningPlan(best_x) if found else None,
+                value=best_val if found else None, bound=root_bound, nodes=nodes)
+        nodes += 1
         if depth == nf:
             if value < best_val or (value == best_val and tuple(x) < tuple(best_x)):
                 best_val = value
@@ -462,7 +581,7 @@ def solve_first_stage(problem: TwoStageProblem, budget=None, *,
             return
         # Strict comparison keeps tying optima alive for the
         # lexicographic tie-break.
-        if value is not None and value > best_val:
+        if value > best_val:
             return
         i = order[depth]
         costs = []
@@ -470,18 +589,23 @@ def solve_first_stage(problem: TwoStageProblem, budget=None, *,
             if cost + step > limit:
                 break
             costs.append(cost + step)
-        hs = range(len(costs))
-        values = None
-        if best_x is not None or depth == nf - 1:
-            values = score(depth, hs, costs)
-        for h in hs:
-            if values is None and best_x is not None:
-                values = [None] * h + score(depth, hs[h:], costs[h:])
+        rows = np.repeat(x[None], len(costs), axis=0)
+        rows[:, i] = np.arange(len(costs))
+        if depth == nf - 1:
+            values = evaluator.objective(rows)
+        else:
+            values = bound(depth + 1, rows, limit - np.array(costs))
+        for h in reversed(range(len(costs))):
             x[i] = h
-            dfs(depth + 1, costs[h], None if values is None else values[h])
-        x[i] = 0
+            dfs(depth + 1, costs[h], values[h])
 
-    dfs(0, 0.0, None)
+    try:
+        dfs(0, 0.0, root_bound)
+    finally:
+        solver.bb_nodes += nodes
+        # dfs refers to itself, so without this its closure, the bound's
+        # tables included, would live until the next cycle collection.
+        del dfs
     assert best_x is not None
     return HardeningPlan(best_x), best_val
 

@@ -74,6 +74,21 @@ def star_grid(n_flooded=2, demand=5.0, budget=100.0, susceptance=1000.0):
     return GridInstance(subs, buses, branches, reference_bus=0, budget=budget)
 
 
+def braess_grid(budget=10.0):
+    """A grid where protecting a substation raises shed. Safe generator
+    bus 0 feeds safe demand bus 1 (5 MW) over a stiff line, and flooded
+    bus 3 (3 MW, substation 3) over another. Flooded bus 2 (substation
+    2, no demand) opens a parallel path 0-2-1 whose second line carries
+    at most 0.1: with bus 2 alive, Kirchhoff's laws send a third of the
+    0-1 transfer along that path, so bus 1 is served only 0.3."""
+    subs = [Substation(i, i >= 2, 1.0, 1.0, 5) for i in range(4)]
+    buses = [Bus(0, 0, 0.0, 0.0, 20.0), Bus(1, 1, 5.0, 0.0, 0.0),
+             Bus(2, 2, 0.0, 0.0, 0.0), Bus(3, 3, 3.0, 0.0, 0.0)]
+    branches = [Branch(0, 0, 1, 10.0, 10.0), Branch(1, 0, 2, 10.0, 10.0),
+                Branch(2, 2, 1, 10.0, 0.1), Branch(3, 0, 3, 10.0, 10.0)]
+    return GridInstance(subs, buses, branches, reference_bus=0, budget=budget)
+
+
 def small_instance(seed, *, n_substations=None, n_flooded=None, n_scenarios=None,
                    max_height=3, budget=None, capacity_slack=1.2):
     """Random capacity-adequate instance small enough for enumeration."""
@@ -138,11 +153,13 @@ def per_scenario_mean_shed(problem: TwoStageProblem, solver, heights):
 
 def per_node_first_stage(problem: TwoStageProblem, budget, *, node_budget=10 ** 6,
                          solver=None):
-    """solve_first_stage scoring one height vector at a time: each node
-    past the first incumbent scores its own bound as a one-row batch,
-    and each leaf its own objective. The batched search must return the
-    same plan and value bit for bit, leave the same pattern table and
-    visit as many nodes. Returns (heights, value, nodes)."""
+    """The earlier branch-and-bound, scoring one height vector at a
+    time: heights ascending, and each node past the first incumbent
+    bounded by hardening every undecided substation to the tallest
+    height whose own cost fits the budget left. That bound is valid only
+    where shed never rises with protection (braess_grid breaks it); where
+    it is, solve_first_stage must return the same plan and value bit for
+    bit. Returns (heights, value, nodes)."""
     solver = solver or RecourseSolver(problem.grid)
     evaluator = _SaaEvaluator(problem, solver)
     nf, caps, max_h, level = _search_data(problem)
@@ -218,7 +235,7 @@ def per_move_greedy(problem: TwoStageProblem, budget, *, solver=None):
 
 def pattern_table(solver):
     """A solver's pattern table as {key bytes: shed}."""
-    return dict(zip(solver._pattern_keys.tolist(), solver._pattern_sheds.tolist()))
+    return dict(zip(solver._patterns.keys.tolist(), solver._patterns.values.tolist()))
 
 
 def _combo_cache():

@@ -3,6 +3,7 @@
 Exit codes: 0 ok, 2 validation, 3 numerical, 4 resource limit.
 """
 import json
+import re
 
 import numpy as np
 import pytest
@@ -152,15 +153,26 @@ class TestPipelineArtifacts:
         assert sweep["table"]["mean"] == pytest.approx(report["table"]["mean"])
 
     def test_recourse_work_in_manifests(self, workdir):
-        for name in ("plans.json", "report.json", "sweep.json"):
+        recourse = {"certified_components", "component_lps"}
+        for name, keys in (("plans.json", recourse | {"bb_nodes"}), ("report.json", recourse),
+                           ("sweep.json", recourse | {"bb_nodes"})):
             work = json.loads((workdir / name).read_text())["manifest"]["work"]
-            assert set(work) == {"certified_components", "component_lps"}, name
+            assert set(work) == keys, name
             assert work["certified_components"] + work["component_lps"] > 0, name
+            assert work.get("bb_nodes", 1) > 0, name
         # The counts repeat exactly, so a re-run stays byte-identical.
         d = workdir
         assert run("sweep", d / "grid.json", d / "scen.csv", d / "synth.csv",
                    "--budgets", "0,4", "--out", d / "sweep_b.json", "--quiet") == 0
         assert (d / "sweep_b.json").read_bytes() == (d / "sweep.json").read_bytes()
+        assert run("solve", d / "grid.json", d / "scen.csv", "--budgets", "0,4",
+                   "--out", d / "plans_b.json", "--quiet") == 0
+        assert (d / "plans_b.json").read_bytes() == (d / "plans.json").read_bytes()
+        # A greedy solve visits no node and records none.
+        assert run("solve", d / "grid.json", d / "scen.csv", "--budgets", "0,4",
+                   "--method", "greedy", "--out", d / "greedy.json", "--quiet") == 0
+        work = json.loads((d / "greedy.json").read_text())["manifest"]["work"]
+        assert set(work) == recourse
 
     def test_validate_identity_is_all_zero(self, workdir):
         out = workdir / "self_val.json"
@@ -305,7 +317,26 @@ class TestCliErrors:
                    "--budget", 4, "--node-budget", 1,
                    "--out", tmp_path / "p.json")
         assert code == 4
-        assert "greedy" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "greedy" in err and "no plan found yet; bound" in err
+
+    def test_node_budget_exhaustion_reports_the_incumbent(self, workdir, tmp_path, capsys):
+        done = tmp_path / "p.json"
+        assert run("solve", workdir / "grid.json", workdir / "scen.csv",
+                   "--budget", 4, "--out", done, "--quiet") == 0
+        nodes = json.loads(done.read_text())["manifest"]["work"]["bb_nodes"]
+        code = run("solve", workdir / "grid.json", workdir / "scen.csv",
+                   "--budget", 4, "--node-budget", nodes - 1,
+                   "--out", tmp_path / "q.json")
+        assert code == 4
+        assert not (tmp_path / "q.json").exists()
+        err = capsys.readouterr().err
+        match = re.search(r"best plan so far: heights \[([\d, ]+)\] .*, value (\S+), "
+                          r"bound (\S+), gap (\S+)", err)
+        assert match, err
+        value, bound, gap = (float(v) for v in match.groups()[1:])
+        assert len(match.group(1).split(",")) == 3
+        assert bound <= value and gap == pytest.approx(value - bound, rel=1e-5)
 
     def test_numerical_error_exit_code(self, workdir, tmp_path, monkeypatch, capsys):
         def boom(*a, **k):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    braess_grid,
     energized_components,
     enumerate_first_stage,
     pattern_table,
@@ -459,7 +460,7 @@ class TestBatchedSaa:
         solver = RecourseSolver(grid)
         sheds = solver.sheds(np.zeros((2, 0), dtype=int), scen.scenarios)
         assert sheds.shape == (2, 3) and np.all(sheds == sheds[0, 0])
-        assert solver._pattern_keys.tolist() == [b"\x80"]
+        assert solver._patterns.keys.tolist() == [b"\x80"]
 
 
 class TestBatchedSearch:
@@ -486,23 +487,24 @@ class TestBatchedSearch:
 
     def test_branch_and_bound_matches_per_node_search(self):
         certified = lp_solves = 0
+        nodes_before = nodes_after = 0
         for problem, budget in self.instances():
-            oracle = RecourseSolver(problem.grid)
-            want_x, want_val, nodes = per_node_first_stage(problem, budget, solver=oracle)
+            want_x, want_val, nodes = per_node_first_stage(problem, budget)
             solver = RecourseSolver(problem.grid)
             plan, val = solve_first_stage(problem, budget, solver=solver)
             assert tuple(plan.heights) == tuple(want_x)
             assert val == want_val  # bit for bit
-            assert pattern_table(solver) == pattern_table(oracle)
-            assert (solver.certified, solver.lp_solves) == (oracle.certified, oracle.lp_solves)
-            # The smallest node budget that succeeds is the same.
-            solve_first_stage(problem, budget, node_budget=nodes)
-            if nodes > 1:
+            # The nodes the search reports are the nodes it needs.
+            solve_first_stage(problem, budget, node_budget=solver.bb_nodes)
+            if solver.bb_nodes > 1:
                 with pytest.raises(ResourceLimitError):
-                    solve_first_stage(problem, budget, node_budget=nodes - 1)
+                    solve_first_stage(problem, budget, node_budget=solver.bb_nodes - 1)
             certified += solver.certified
             lp_solves += solver.lp_solves
+            nodes_before += nodes
+            nodes_after += solver.bb_nodes
         assert certified > 0 and lp_solves > 0
+        assert nodes_after < nodes_before
 
     def test_greedy_matches_per_move_greedy(self):
         for problem, budget in self.instances():
@@ -591,24 +593,78 @@ class TestSolveFirstStage:
             again = saa_objective(problem, plan, solver=solver)
             assert again == pytest.approx(val, abs=1e-12)
 
+    @staticmethod
+    def assert_smallest_optimum(problem, budget):
+        """The search returns exhaustive enumeration's lexicographically
+        smallest optimum, with its value bit for bit."""
+        solver = RecourseSolver(problem.grid)
+        plan, val = solve_first_stage(problem, budget, solver=solver)
+        _, candidates = enumerate_first_stage(problem, budget, solver=solver)
+        exact = {c: problem.stage_cost(c) + per_scenario_mean_shed(problem, solver, c)
+                 for c in candidates}
+        best = min(exact.values())
+        assert val == best
+        assert tuple(plan.heights) == min(c for c, v in exact.items() if v == best)
+
     def test_returns_smallest_optimal_plan_where_budget_trims_bound(self):
         # Budgets below the cost of hardening every substation to its
-        # cap, so the budget-aware bound stops short of some cap.
+        # cap, so the budget binds.
         rng = np.random.default_rng(8)
         for trial in range(20):
             grid, scen = small_instance(800 + trial, max_height=3)
-            problem = TwoStageProblem(grid, scen)
-            solver = RecourseSolver(grid)
             caps = np.minimum(scen.scenarios.max(axis=0).astype(int),
                               [s.max_height for s in grid.flooded_substations()])
             budget = float(rng.uniform(0.2, 0.9)) * HardeningPlan(caps).cost(grid)
-            plan, val = solve_first_stage(problem, budget, solver=solver)
-            _, candidates = enumerate_first_stage(problem, budget, solver=solver)
-            exact = {c: problem.stage_cost(c) + per_scenario_mean_shed(problem, solver, c)
-                     for c in candidates}
-            best = min(exact.values())
-            assert val == best, f"trial {trial}"
-            assert tuple(plan.heights) == min(c for c, v in exact.items() if v == best)
+            self.assert_smallest_optimum(TwoStageProblem(grid, scen), budget)
+
+    def test_matches_enumeration_on_congested_grids(self):
+        # Lines bind at these slacks, where shed need not fall as
+        # protection rises; the bound does not rely on it.
+        rng = np.random.default_rng(31)
+        for trial in range(30):
+            slack = float(rng.uniform(0.03, 0.3))
+            grid, scen = small_instance(1100 + trial, max_height=3, capacity_slack=slack)
+            cost = rng.uniform(0.0, 1.5, size=len(grid.flooded_ids)) if trial % 2 else None
+            self.assert_smallest_optimum(TwoStageProblem(grid, scen, first_stage_cost=cost),
+                                         float(rng.uniform(0.0, 12.0)))
+        # Symmetric spokes whose angle bounds bind: many tied optima.
+        g = star_grid(n_flooded=3, susceptance=1.0)
+        scen = uniform_scenarios([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], g.flooded_ids)
+        for cost in (None, np.full(3, 0.5)):
+            for budget in (2.0, 3.0, 5.0, 7.5):
+                self.assert_smallest_optimum(TwoStageProblem(g, scen, first_stage_cost=cost),
+                                             budget)
+
+    def test_exact_where_protection_raises_shed(self):
+        g = braess_grid()
+        problem = TwoStageProblem(g, uniform_scenarios([[1.0, 2.0]], g.flooded_ids))
+        worse, best = (saa_objective(problem, HardeningPlan(np.array(h))) for h in ([1, 2], [0, 2]))
+        assert worse > best
+        # Hardening every undecided substation to its cap bounds the
+        # optimum's node above the first leaf, and prunes it.
+        assert per_node_first_stage(problem, 10.0)[1] > best
+        self.assert_smallest_optimum(problem, 10.0)
+
+    def test_many_flooded_substations_one_protection(self):
+        # 70 flooded substations, so keys run past 64 bits, and a budget
+        # for height 1 at one of them: each scenario's affordable subsets
+        # are the empty set and its single protections, never 2^70.
+        grid = star_grid(n_flooded=70, budget=2.5)
+        rng = np.random.default_rng(37)
+        deltas = (rng.random((6, 70)) < 0.3).astype(float)
+        deltas[:, 67] = 1.0  # the best protection sits past bit 64
+        probs = rng.dirichlet(np.ones(6))
+        problem = TwoStageProblem(grid, ScenarioSet(deltas, probs / probs.sum(),
+                                                    columns=grid.flooded_ids))
+        solver = RecourseSolver(grid)
+        plan, val = solve_first_stage(problem, solver=solver)
+        plans = [np.zeros(70, dtype=int), *np.eye(70, dtype=int)]
+        values = [saa_objective(problem, HardeningPlan(h)) for h in plans]
+        best = min(values)
+        assert val == best
+        assert tuple(plan.heights) == min(tuple(h) for h, v in zip(plans, values) if v == best)
+        assert plan.heights[67] == 1
+        assert solver.bb_nodes < 500
 
     def test_no_flooded_substations(self):
         grid, scen = generate_instance(InstanceSpec(n_substations=2, n_flooded=0,
@@ -646,8 +702,26 @@ class TestSolveFirstStage:
     def test_node_budget_raises_resource_error(self):
         g = star_grid(n_flooded=3)
         scen = uniform_scenarios([[2.0, 2.0, 2.0]], g.flooded_ids)
-        with pytest.raises(ResourceLimitError, match="greedy"):
+        with pytest.raises(ResourceLimitError, match="greedy") as info:
             solve_first_stage(TwoStageProblem(g, scen), budget=50.0, node_budget=2)
+        # Stopped before the first leaf: no plan yet, but a bound.
+        assert info.value.plan is None and info.value.value is None
+        assert info.value.bound == pytest.approx(0.0) and info.value.nodes == 2
+
+    def test_node_budget_stops_with_the_incumbent(self):
+        grid, scen = generate_instance(InstanceSpec(
+            n_substations=8, n_flooded=6, n_scenarios=12, max_height=4, budget=12.0, seed=3))
+        problem = TwoStageProblem(grid, scen)
+        solver = RecourseSolver(grid)
+        _, optimum = solve_first_stage(problem, solver=solver)
+        stop = solver.bb_nodes // 2
+        with pytest.raises(ResourceLimitError) as info:
+            solve_first_stage(problem, node_budget=stop)
+        err = info.value
+        assert err.nodes == stop
+        err.plan.check_feasible(grid)
+        assert err.value == saa_objective(problem, err.plan)
+        assert err.bound <= optimum < err.value
 
 
 class TestGreedyFirstStage:

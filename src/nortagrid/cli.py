@@ -125,7 +125,8 @@ def _finite_list(values, where):
 _PAIR_FIELDS = (("i", int), ("j", int), ("target", float), ("rho_z", float),
                 ("residual", float), ("clamped", bool))
 _REPORT_FIELDS = (("repair_distance", float), ("chol_jitter", float),
-                  ("rho_evaluations", int), ("pair_evaluations", int))
+                  ("rho_evaluations", int), ("pair_evaluations", int),
+                  ("settled_evaluations", int))
 
 
 def load_model(path) -> NortaModel:
@@ -546,6 +547,9 @@ def main(argv=None):
         return 2
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        for rep in exc.reports:
+            print(f"finished budget {rep.budget:g}: heights {rep.plan.heights.tolist()}, "
+                  f"SO estimate {rep.so_estimate:.6g}", file=sys.stderr)
         if exc.plan is not None:
             print(f"best plan so far: heights {exc.plan.heights.tolist()} (flooded substations "
                   f"in grid order), value {exc.value:.6g}, bound {exc.bound:.6g}, "

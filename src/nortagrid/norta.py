@@ -20,6 +20,16 @@ gives bit for bit what matching each pair alone through the same slot
 weights gives; against evaluating every node's value, only the order
 of the sums differs.
 
+Late rounds are settled without the quadrature where that is exact.
+Against an empirical second column, c depends on rho only through the
+slot of each rotated node. Once a bracket is narrow (_LATE_WIDTH), a
+bound on how fast each node's z2 moves with rho certifies that all but
+a few "watched" nodes keep their slots at every rho inside it. Each
+later round looks up only the watched nodes at the midpoint: if their
+slots are those of one bracket end, c there is that end's c, bit for
+bit; otherwise the quadrature runs as before. On the 72-column
+acceptance panel about half of the pair evaluations settle this way.
+
 Marginals only need a ``quantile(u)`` method accepting ndarrays, so
 analytic marginals can stand in for empirical ones (used heavily in the
 test-suite oracles).
@@ -71,6 +81,14 @@ _SQRT2 = math.sqrt(2.0)
 # peak memory.
 _CHUNK = 1 << 14
 _I, _J = np.array([0]), np.array([1])  # the one pair of a two-column matcher
+# Late bisection rounds: a bracket at most _LATE_WIDTH wide whose second
+# column is empirical watches the nodes that might change slot inside it.
+# With at most _WATCH_CAP of them, its rounds settle c from their slots;
+# otherwise it tries again the next round. _WATCH_SLACK covers the
+# rounding of z2 at two rhos (|z2| <= 30, s >= 1.4e-3 in the bracket).
+_LATE_WIDTH = 2.0 ** -13
+_WATCH_CAP = 16
+_WATCH_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -149,13 +167,15 @@ class PairMatch:
 class FitReport:
     """Per-pair matches, the PSD repair and jitter, and the matching work:
     distinct rhos and (pair, rho) evaluations of c summed over the
-    bisection rounds."""
+    bisection rounds, and how many of those pair evaluations were
+    settled from a few watched nodes instead of the whole quadrature."""
 
     pairs: list = field(default_factory=list)
     repair_distance: float = 0.0
     chol_jitter: float = 0.0
     rho_evaluations: int = 0
     pair_evaluations: int = 0
+    settled_evaluations: int = 0
 
     @property
     def clamp_count(self):
@@ -178,6 +198,7 @@ class FitReport:
             "max_residual": self.max_residual,
             "rho_evaluations": self.rho_evaluations,
             "pair_evaluations": self.pair_evaluations,
+            "settled_evaluations": self.settled_evaluations,
         }
 
 
@@ -262,6 +283,13 @@ class _Matcher:
     contiguous last axis, so no value depends on which rhos, columns or
     pairs share a batch. A batch holds at most about _CHUNK doubles per
     array.
+
+    So against an empirical second column, c is a function of the
+    nodes' slots alone: equal slots give a bit-identical c. ``watch``
+    certifies, for a narrow bracket, which few nodes may change slot
+    inside it, and ``slots`` looks up just those nodes at a midpoint,
+    from the same rotation (``_rotation``) as the full quadrature;
+    _match_pairs settles a midpoint from them when it can.
     """
 
     def __init__(self, marginals, degree):
@@ -287,8 +315,9 @@ class _Matcher:
             self.values[col, :self.count[col]] = marginals[col].sorted_values
         self.squares = self.values * self.values
         self.rho_step = max(1, _CHUNK // x.size ** 2)  # rhos per batch
-        # Work done: distinct rhos and pairs, summed over the calls of c.
-        self.rho_evaluations = self.pair_evaluations = 0
+        # The smallest types that hold a node id and a slot index.
+        self.node_type = np.min_scalar_type(x.size ** 2 - 1)
+        self.slot_type = np.min_scalar_type(int(self.count.max(initial=0)))
 
     def c(self, rho, i, j):
         """c(rho[k]) of the pairs (i[k], j[k]), for rho in [-1, 1], as an
@@ -307,8 +336,6 @@ class _Matcher:
         run_rho, run_col = np.cumsum(new_rho)[new_run] - 1, jj[new_run]
         n_rho = int(new_rho.sum())
         starts = np.append(np.flatnonzero(new_rho), r.size)  # rho g's pairs: starts[g:g + 2]
-        self.rho_evaluations += n_rho
-        self.pair_evaluations += rho.size
         pair_step = max(1, _CHUNK // self.x.size)
         for a in range(0, n_rho, self.rho_step):
             b = min(a + self.rho_step, n_rho)
@@ -339,10 +366,7 @@ class _Matcher:
         whether its values at the rotated nodes are all equal."""
         x, wn = self.x, self.wn
         deg = x.size
-        # The quadrature ignores mass beyond the node range; pull exact
-        # +-1 inside the open interval where the rotation is well defined.
-        r = np.clip(rhos, -1.0 + 1e-12, 1.0 - 1e-12)
-        rx, sx = r[:, None] * x, np.sqrt(np.maximum(0.0, 1.0 - r * r))[:, None] * x
+        rx, sx = _rotation(rhos, x, x)
         wy, ey2 = np.empty((cols.size, deg)), np.empty(cols.size)
         flat = np.empty(cols.size, dtype=bool)
         counts = self.count[cols]
@@ -378,6 +402,103 @@ class _Matcher:
         ey = (wn * wy).sum(axis=-1)
         return wy, ey, ey2 - ey * ey, flat
 
+    def watch(self, lo, hi, cols):
+        """Watch lists of brackets [lo, hi] of pairs whose second columns
+        cols are empirical (see _reach): whether each bracket has at most
+        _WATCH_CAP watched nodes, and then their node ids and slots at
+        lo and at hi, padded with node 0. Node 0 is either watched or
+        keeps its slot across the bracket, so the padding never changes
+        which midpoints the slots settle. Pairs with the same bracket and
+        sample count are worked out once."""
+        n = self.count[cols]
+        key, inv = np.unique(np.column_stack((lo, hi, n)), axis=0, return_inverse=True)
+        a, b, n = key[:, 0], key[:, 1], key[:, 2].astype(int)
+        ok = np.zeros(a.size, dtype=bool)
+        nodes = np.zeros((a.size, _WATCH_CAP), dtype=self.node_type)
+        at_a = np.zeros((a.size, _WATCH_CAP), dtype=self.slot_type)
+        step = max(1, self.rho_step // 2)  # _reach holds four arrays of its nodes at once
+        for m in np.unique(n).tolist():
+            sel = np.flatnonzero(n == m)
+            for s in range(0, sel.size, step):
+                t = sel[s:s + step]
+                idx, watched = self._reach(a[t], b[t], m)
+                count = watched.sum(axis=1)
+                fits = np.flatnonzero(count <= _WATCH_CAP)
+                t, count = t[fits], count[fits]
+                row, node = np.nonzero(watched[fits])
+                # Each watched node's place in its bracket's list.
+                place = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)
+                nodes[t[row], place] = node
+                at_a[t] = idx[fits[:, None], nodes[t]]
+                ok[t] = True
+        at_b = np.zeros_like(at_a)
+        at_b[ok] = self.slots(b[ok], nodes[ok], n[ok])
+        inv = inv.ravel()
+        return ok[inv], nodes[inv], at_a[inv], at_b[inv]
+
+    def _reach(self, a, b, n):
+        """Every node's slot at a, the lower end of each bracket [a, b],
+        for n samples (flattened node ids), and which nodes are watched.
+
+        For rho in [a, b], the slot of node (k, l) depends on rho only
+        through z2 = sqrt(2) (rho x_k + sqrt(1 - rho^2) x_l), whose slope
+        is at most L = sqrt(2) (|x_k| + |x_l| q), q = rb / sqrt(1 - rb^2)
+        with rb = max(|a|, |b|). A node whose z2 at a lies more than
+        L (b - a) + _WATCH_SLACK inside its slot keeps that slot at every
+        rho of the bracket, as evaluated; every other node is watched.
+        """
+        ax = np.abs(self.x)
+        rb = np.maximum(np.abs(a), np.abs(b))
+        q = rb / np.sqrt(1.0 - rb * rb)
+        tau = normal_score_thresholds(n)
+        edges = np.concatenate(([-np.inf], tau, [np.inf]))
+        z2 = _node_grid(*_rotation(a, self.x, self.x))
+        idx = np.searchsorted(tau, z2, side="right")
+        # The distance to the slot's upper edge, then to its lower edge.
+        above = edges[1:][idx]
+        above -= z2
+        z2 -= edges[idx]
+        margin = np.minimum(z2, above, out=z2)
+        reach = np.add(ax[:, None], q[:, None, None] * ax, out=above)
+        reach *= (_SQRT2 * (b - a))[:, None, None]
+        reach += _WATCH_SLACK
+        return idx.reshape(a.size, -1), (margin <= reach).reshape(a.size, -1)
+
+    def slots(self, rho, nodes, n):
+        """The slot of each node nodes[p, w] at rho[p] for n[p] samples,
+        from the same z2 as the full quadrature's, in batches of a
+        quarter _CHUNK nodes (a batch makes about eight such arrays)."""
+        deg = self.x.size
+        out = np.empty(nodes.shape, dtype=self.slot_type)
+        step = _CHUNK // (4 * _WATCH_CAP)
+        for s in range(0, rho.size, step):
+            p = slice(s, s + step)
+            rx, sx = _rotation(rho[p], self.x[nodes[p] // deg], self.x[nodes[p] % deg])
+            rx += sx
+            rx *= _SQRT2
+            for m in np.unique(n[p]).tolist():
+                sel = n[p] == m
+                out[p][sel] = np.searchsorted(normal_score_thresholds(m), rx[sel],
+                                              side="right")
+        return out
+
+
+def _rotation(rhos, xk, xl):
+    """The two terms of the rotated second-axis nodes z2 = (r x_k + s x_l)
+    sqrt(2), s = sqrt(1 - r^2), at each rho r: r x_k and s x_l, with
+    rhos on the first axis and xk, xl broadcast along the second."""
+    # The quadrature ignores mass beyond the node range; pull exact
+    # +-1 inside the open interval where the rotation is well defined.
+    r = np.clip(rhos, -1.0 + 1e-12, 1.0 - 1e-12)
+    return r[:, None] * xk, np.sqrt(np.maximum(0.0, 1.0 - r * r))[:, None] * xl
+
+
+def _node_grid(rx, sx):
+    """The rotated nodes z2[r, k, l] = (rx[r, k] + sx[r, l]) sqrt(2)."""
+    z2 = rx[:, :, None] + sx[:, None, :]
+    z2 *= _SQRT2
+    return z2
+
 
 def _slot_weights(rx, sx, wn, n):
     """The slot weights W[r, m, k] of n samples at each rho r: the sum of
@@ -385,8 +506,7 @@ def _slot_weights(rx, sx, wn, n):
     sqrt(2) whose normal-score index is m, in node order; and each rho's
     smallest and largest index."""
     deg = wn.size
-    z2 = rx[:, :, None] + sx[:, None, :]
-    z2 *= _SQRT2
+    z2 = _node_grid(rx, sx)
     idx = np.searchsorted(normal_score_thresholds(n), z2, side="right")
     lo, hi = idx.min(axis=(1, 2)), idx.max(axis=(1, 2))
     # One bin per (rho, k, m); z2's buffer, free after the lookup,
@@ -401,13 +521,25 @@ def _slot_weights(rx, sx, wn, n):
 def _match_pairs(matcher, i, j, targets, tol, max_iter):
     """Every pair's bisection for c(rho_z) = target, as array code.
 
-    Returns the arrays (rho_z, residual, clamped), one entry per pair.
-    Each round evaluates c at every unfinished pair's midpoint in one
-    call; see solve_rho_z for the rules.
+    Returns the arrays (rho_z, residual, clamped), one entry per pair,
+    and the work (rho_evaluations, pair_evaluations,
+    settled_evaluations): the distinct rhos and the pairs the bisection
+    asks c for, and how many of those pairs were settled from watched
+    nodes. Each round evaluates c at every unfinished pair's midpoint;
+    see solve_rho_z for the rules.
+
+    Late rounds: c of an empirical second column depends on rho only
+    through each node's slot. Once a pair's bracket is at most
+    _LATE_WIDTH wide and watches at most _WATCH_CAP nodes
+    (_Matcher.watch), every other node keeps its slot at any midpoint.
+    If the watched nodes' slots at the midpoint are all those of the
+    lower end, c there is c at the lower end, bit for bit; likewise for
+    the upper end. Only the other midpoints run the quadrature.
     """
     t = np.asarray(targets, dtype=float)
     lo, hi = np.full(t.size, -1.0 + 1e-6), np.full(t.size, 1.0 - 1e-6)
     c_lo, c_hi = matcher.c(lo, i, j), matcher.c(hi, i, j)
+    rho_evals, pair_evals, settled_evals = 2 * min(t.size, 1), 2 * t.size, 0
     rho, residual = np.zeros(t.size), np.abs(t)
     clamped = np.zeros(t.size, dtype=bool)
     # Flat matching function (degenerate marginal): rho_z is moot.
@@ -418,24 +550,50 @@ def _match_pairs(matcher, i, j, targets, tol, max_iter):
         rho[side], residual[side] = end[side], np.abs(c_end - t)[side]
         clamped[side] = over[side]
     k = np.flatnonzero(~(flat | below | above))
-    lo, hi, t = lo[k], hi[k], t[k]
+    lo, hi, t, c_lo, c_hi = lo[k], hi[k], t[k], c_lo[k], c_hi[k]
     final = np.zeros(k.size, dtype=bool)  # the next evaluation is the last
+    # Late pairs: their watched nodes and those nodes' slots at lo and hi.
+    late = np.zeros(k.size, dtype=bool)
+    nodes = np.zeros((k.size, _WATCH_CAP), dtype=matcher.node_type)
+    s_lo = np.zeros((k.size, _WATCH_CAP), dtype=matcher.slot_type)
+    s_hi = s_lo.copy()
+    count = matcher.count[j]  # second columns' sample counts, 0 if not empirical
     steps = 0
     while k.size:
         mid = 0.5 * (lo + hi)
-        c_mid = matcher.c(mid, i[k], j[k])
+        rho_evals += np.unique(mid).size
+        pair_evals += mid.size
+        enter = np.flatnonzero(~late & (count[k] > 0) & (hi - lo <= _LATE_WIDTH))
+        if enter.size:
+            late[enter], nodes[enter], s_lo[enter], s_hi[enter] = matcher.watch(
+                lo[enter], hi[enter], j[k[enter]])
+        w = np.flatnonzero(late)
+        s_mid = matcher.slots(mid[w], nodes[w], count[k[w]])
+        at_lo = (s_mid == s_lo[w]).all(axis=1)
+        at_hi = ~at_lo & (s_mid == s_hi[w]).all(axis=1)
+        c_mid = np.empty(k.size)
+        c_mid[w[at_lo]], c_mid[w[at_hi]] = c_lo[w[at_lo]], c_hi[w[at_hi]]
+        full = np.ones(k.size, dtype=bool)
+        full[w[at_lo | at_hi]] = False
+        full = np.flatnonzero(full)
+        settled_evals += k.size - full.size
+        c_mid[full] = matcher.c(mid[full], i[k[full]], j[k[full]])
         err = np.abs(c_mid - t)
         done = final | (err <= tol)
         rho[k[done]], residual[k[done]] = mid[done], err[done]
-        go = ~done
-        k, lo, hi, t, mid, c_mid = k[go], lo[go], hi[go], t[go], mid[go], c_mid[go]
         up = c_mid < t
+        s_lo[w[up[w]]], s_hi[w[~up[w]]] = s_mid[up[w]], s_mid[~up[w]]
+        go = ~done
+        k, lo, hi, t, mid, c_mid, up = k[go], lo[go], hi[go], t[go], mid[go], c_mid[go], up[go]
+        c_lo, c_hi, late = c_lo[go], c_hi[go], late[go]
+        nodes, s_lo, s_hi = nodes[go], s_lo[go], s_hi[go]
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        c_lo, c_hi = np.where(up, c_mid, c_lo), np.where(up, c_hi, c_mid)
         steps += 1
         # Discrete marginals step over the target; a collapsed bracket
         # cannot improve the residual, so its midpoint is the answer.
         final = (hi - lo <= 1e-9) | (steps >= max_iter)
-    return rho, residual, clamped
+    return rho, residual, clamped, (rho_evals, pair_evals, settled_evals)
 
 
 def c_of_rho(marginal_i, marginal_j, rho_z, degree=64):
@@ -475,15 +633,18 @@ def solve_rho_z(marginal_i, marginal_j, rho_x_target, *, tol=1e-4,
     This is fit's bisection with one pair. fit bisects all pairs
     together in array rounds; pairs that ask for the same rho_z in a
     round share its slot weights, and every column's first-axis half is
-    built once. Each pair sees the same sequence of c values, bit for
-    bit, either way.
+    built once. In late rounds, a midpoint whose watched nodes sit in
+    the slots of one bracket end takes that end's c instead of running
+    the quadrature; the certificate in _Matcher._reach makes that
+    value the one the quadrature would give. Each pair sees the same
+    sequence of c values, bit for bit, either way.
     """
     _check_fit_options(degree=degree, tol=tol, max_iter=max_iter)
     target = float(rho_x_target)
     if not -1.0 <= target <= 1.0:
         raise ValidationError("target correlation must lie in [-1, 1]")
-    rho, residual, clamped = _match_pairs(_Matcher([marginal_i, marginal_j], degree),
-                                          _I, _J, [target], tol, max_iter)
+    rho, residual, clamped, _ = _match_pairs(_Matcher([marginal_i, marginal_j], degree),
+                                             _I, _J, [target], tol, max_iter)
     return RhoMatch(float(rho[0]), float(residual[0]), bool(clamped[0]))
 
 
@@ -572,13 +733,14 @@ def fit(s: ScenarioSet, *, degree=64, match_tol=1e-4, bisect_max_iter=200) -> No
     i, j = np.triu_indices(n, k=1)
     targets = sigma_x[i, j]
     matcher = _Matcher(marginals, degree)
-    rho, residual, clamped = _match_pairs(matcher, i, j, targets, match_tol, bisect_max_iter)
+    rho, residual, clamped, work = _match_pairs(matcher, i, j, targets, match_tol,
+                                                bisect_max_iter)
     sigma_z = np.eye(n)
     sigma_z[i, j] = sigma_z[j, i] = rho
     report = FitReport([PairMatch(*pair) for pair in zip(
         i.tolist(), j.tolist(), targets.tolist(), rho.tolist(), residual.tolist(),
-        clamped.tolist())], rho_evaluations=matcher.rho_evaluations,
-        pair_evaluations=matcher.pair_evaluations)
+        clamped.tolist())])
+    report.rho_evaluations, report.pair_evaluations, report.settled_evaluations = work
     y = nearest_correlation(sigma_z)
     report.repair_distance = float(np.linalg.norm(sigma_z - y))
     chol, jitter = _cholesky_with_jitter(y)

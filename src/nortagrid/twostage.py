@@ -388,7 +388,10 @@ def _search_data(problem: TwoStageProblem):
     flooded = grid.flooded_substations()
     nf = len(flooded)
     heights_mat = problem.scenarios.scenarios
-    max_h = heights_mat.max(axis=0).astype(int) if heights_mat.size else np.zeros(nf, dtype=int)
+    # The least height that survives every scenario; a fractional flood
+    # height delta needs ceil(delta), as in _WaitAndSee.
+    max_h = (np.maximum(np.ceil(heights_mat.max(axis=0)), 0.0).astype(int)
+             if heights_mat.size else np.zeros(nf, dtype=int))
     caps = np.minimum(np.array([s.max_height for s in flooded], dtype=int), max_h)
     fixed = np.array([s.fixed_cost for s in flooded])[:, None]
     var = np.array([s.var_cost for s in flooded])[:, None]
@@ -721,7 +724,9 @@ def budget_sweep(problem: TwoStageProblem, budgets, synthetic: ScenarioSet,
     """Solve-then-evaluate across budgets; reports ordered by budget.
 
     One recourse cache is shared across the whole sweep, so repeated
-    survival patterns are solved once.
+    survival patterns are solved once. If a budget's search hits
+    node_budget, its ResourceLimitError also carries the reports of the
+    budgets finished before it (`reports`).
     """
     budgets = [float(b) for b in budgets]
     if not budgets:
@@ -734,8 +739,12 @@ def budget_sweep(problem: TwoStageProblem, budgets, synthetic: ScenarioSet,
     solver = solver or RecourseSolver(problem.grid)
     reports = []
     for budget in sorted(budgets):
-        plan, so = solve_first_stage(problem, budget, node_budget=node_budget,
-                                     solver=solver)
+        try:
+            plan, so = solve_first_stage(problem, budget, node_budget=node_budget,
+                                         solver=solver)
+        except ResourceLimitError as exc:
+            exc.reports = reports
+            raise
         rep = evaluate_oos(problem, plan, synthetic, solver=solver)
         rep.so_estimate = so
         rep.budget = budget

@@ -338,6 +338,31 @@ class TestCliErrors:
         assert len(match.group(1).split(",")) == 3
         assert bound <= value and gap == pytest.approx(value - bound, rel=1e-5)
 
+    def test_sweep_node_limit_lists_the_finished_budgets(self, tmp_path, capsys):
+        spec = {"n_substations": 12, "n_flooded": 8, "buses_per_substation": 2,
+                "topology": "grid", "n_scenarios": 24, "max_height": 5, "budget": 50,
+                "seed": 3}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        grid, train, model, synth = (tmp_path / f for f in (
+            "grid.json", "train.csv", "model.json", "synth.csv"))
+        assert run("make-instance", "--spec", tmp_path / "spec.json", "--out", grid, train,
+                   "--quiet") == 0
+        assert run("fit", train, "--out", model, "--quiet") == 0
+        assert run("generate", model, "--count", 30, "--out", synth, "--quiet") == 0
+        capsys.readouterr()
+        out = tmp_path / "sweep.json"
+        assert run("sweep", grid, train, synth, "--budgets", "0,5,10,20",
+                   "--node-budget", 1000, "--out", out, "--quiet") == 4
+        assert not out.exists()
+        err = capsys.readouterr().err
+        finished = re.findall(r"finished budget (\S+): heights \[([\d, ]+)\], "
+                              r"SO estimate (\S+)", err)
+        assert [b for b, _, _ in finished] == ["0", "5", "10"]
+        assert all(len(h.split(",")) == 8 for _, h, _ in finished)
+        so = [float(v) for _, _, v in finished]
+        assert so == sorted(so, reverse=True)
+        assert "at budget 20" in err and "best plan so far" in err
+
     def test_numerical_error_exit_code(self, workdir, tmp_path, monkeypatch, capsys):
         def boom(*a, **k):
             raise NumericalError("synthetic blow-up")
@@ -425,6 +450,8 @@ class TestCliErrors:
          "fit_report: rho_evaluations must be an integer, got 1.5"),
         (("fit_report", "pair_evaluations"), "81811",
          "fit_report: pair_evaluations must be an integer, got '81811'"),
+        (("fit_report", "settled_evaluations"), 2.0,
+         "fit_report: settled_evaluations must be an integer, got 2.0"),
     ])
     def test_model_ids_and_fit_report_are_not_coerced(self, workdir, tmp_path, capsys,
                                                       path, value, message):
@@ -450,11 +477,13 @@ class TestCliErrors:
 
     def test_model_without_work_counters_loads_them_as_zero(self, workdir, tmp_path):
         data = json.loads((workdir / "model.json").read_text())
-        del data["fit_report"]["rho_evaluations"], data["fit_report"]["pair_evaluations"]
+        for name in ("rho_evaluations", "pair_evaluations", "settled_evaluations"):
+            del data["fit_report"][name]
         p = tmp_path / "model.json"
         p.write_text(json.dumps(data))
         report = cli.load_model(p).report
-        assert (report.rho_evaluations, report.pair_evaluations) == (0, 0)
+        assert (report.rho_evaluations, report.pair_evaluations,
+                report.settled_evaluations) == (0, 0, 0)
 
     def test_malformed_model_file(self, tmp_path):
         p = tmp_path / "model.json"

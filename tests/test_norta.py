@@ -31,7 +31,12 @@ from nortagrid.norta import (
     sample,
     solve_rho_z,
 )
-from nortagrid.stats import EmpiricalMarginal, normal_quantile, pearson_corr
+from nortagrid.stats import (
+    EmpiricalMarginal,
+    normal_quantile,
+    normal_score_thresholds,
+    pearson_corr,
+)
 
 
 class NormalMarginal:
@@ -249,7 +254,8 @@ class TestThresholdPathOracle:
             assert abs(p.residual - q.residual) <= self.C_TOL
         fast_rest, slow_rest = fast.report.to_dict(), slow.report.to_dict()
         for d in (fast_rest, slow_rest):
-            del d["pairs"], d["max_residual"]
+            # Only empirical second columns settle from watched nodes.
+            del d["pairs"], d["max_residual"], d["settled_evaluations"]
         assert fast_rest == slow_rest
 
     def test_panel_fit_golden(self):
@@ -260,20 +266,28 @@ class TestThresholdPathOracle:
         assert digest == "3978270dac067ad4ef859a30e394ceff24952996cc446ddcc959d3c4b612601a"
         assert model.report.clamp_count == 1
         assert (model.report.rho_evaluations, model.report.pair_evaluations) == (12157, 81811)
+        # 39,451 of them settle from watched nodes; a change that silently
+        # stops settling fails here, without any timing.
+        assert model.report.settled_evaluations >= 35_000
         assert fit(ar1_height_panel()).report.to_dict() == model.report.to_dict()
 
 
 class TestLockstepAgainstPerPair:
-    """fit matches all pairs in lockstep rounds; helpers.per_pair_fit
-    matches one pair at a time, each evaluation on its own. Every
-    sigma_z entry and every report field must agree exactly."""
+    """fit matches all pairs in lockstep rounds and settles late rounds
+    from watched nodes; helpers.per_pair_fit matches one pair at a
+    time, each evaluation on its own over every node. Every sigma_z
+    entry and every report field but settled_evaluations must agree
+    exactly."""
 
     @staticmethod
     def assert_same_fit(s, **options):
         model = fit(s, **options)
         sigma_z, report = per_pair_fit(s, **options)
         assert np.array_equal(model.sigma_z, sigma_z)
-        assert model.report.to_dict() == report.to_dict()
+        got, want = model.report.to_dict(), report.to_dict()
+        # The oracle evaluates every node each time; only fit settles.
+        del got["settled_evaluations"], want["settled_evaluations"]
+        assert got == want
         return model
 
     def test_acceptance_panel(self):
@@ -325,6 +339,45 @@ class TestLockstepAgainstPerPair:
             match_tol=data.draw(st.sampled_from([0.0, 1e-4, 0.05]), label="match_tol"),
             bisect_max_iter=data.draw(st.sampled_from([1, 2, 3, 200]), label="max_iter"),
         )
+
+
+class TestWatchedNodes:
+    """Late bisection rounds settle c from a few watched nodes. The
+    certificate: a node that is not watched keeps, at every rho of the
+    bracket, the slot of the quadrature's own z2 at its lower end."""
+
+    EDGE = 1.0 - 1e-6  # the bisection's outer bracket is [-EDGE, EDGE]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_unwatched_nodes_keep_their_slots(self, data):
+        n = data.draw(st.sampled_from([2, 3, 16, 32]), label="n")
+        degree = data.draw(st.sampled_from([8, 64]), label="degree")
+        width = data.draw(st.floats(0.0, norta._LATE_WIDTH), label="width")
+        a = data.draw(st.one_of(st.floats(-self.EDGE, self.EDGE),
+                                st.floats(self.EDGE - 1e-5, self.EDGE),
+                                st.floats(-self.EDGE, -self.EDGE + 1e-5)), label="a")
+        a = min(a, self.EDGE - width)
+        b = a + width
+        matcher = norta._Matcher([EmpiricalMarginal(np.arange(n))] * 2, degree)
+        idx, watched = matcher._reach(np.array([a]), np.array([b]), n)
+        rhos = [a, b, 0.5 * (a + b)] + data.draw(
+            st.lists(st.floats(a, b), min_size=1, max_size=8), label="rhos")
+        tau = normal_score_thresholds(n)
+        keep = ~watched[0]
+        for rho in rhos:
+            z2 = norta._node_grid(*norta._rotation(np.array([rho]), matcher.x, matcher.x))
+            full = np.searchsorted(tau, z2, side="right").ravel()
+            assert np.array_equal(full[keep], idx[0][keep]), (a, b, rho)
+
+    def test_watched_slots_are_the_quadratures(self):
+        matcher = norta._Matcher([EmpiricalMarginal(np.arange(16))] * 2, 64)
+        rho = np.array([-0.7, 0.1, 0.6])
+        nodes = np.arange(3 * 4096, dtype=matcher.node_type).reshape(3, 4096) % 4096
+        z2 = norta._node_grid(*norta._rotation(rho, matcher.x, matcher.x))
+        full = np.searchsorted(normal_score_thresholds(16), z2, side="right")
+        assert np.array_equal(matcher.slots(rho, nodes, np.full(3, 16)),
+                              full.reshape(3, -1))
 
 
 small_samples = st.lists(st.integers(0, 6), min_size=2, max_size=20)
@@ -503,7 +556,7 @@ class TestFit:
         d = model.report.to_dict()
         assert set(d) == {"pairs", "repair_distance", "chol_jitter",
                           "clamp_count", "max_residual", "rho_evaluations",
-                          "pair_evaluations"}
+                          "pair_evaluations", "settled_evaluations"}
 
     def test_columns_carried_through(self):
         s = ScenarioSet.with_uniform_probs([[0.0, 1.0], [2.0, 0.0]], columns=(12, 40))
@@ -623,7 +676,7 @@ class TestOneColumnPanel:
         assert model.report.to_dict() == {"pairs": [], "repair_distance": 0.0,
                                           "chol_jitter": 0.0, "clamp_count": 0,
                                           "max_residual": 0.0, "rho_evaluations": 0,
-                                          "pair_evaluations": 0}
+                                          "pair_evaluations": 0, "settled_evaluations": 0}
         out = sample(model, 50, seed=0)
         assert out.columns == (5,)
         assert set(out.scenarios[:, 0]) <= {0.0, 1.0, 2.0}

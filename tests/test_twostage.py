@@ -573,6 +573,16 @@ class TestSolveFirstStage:
         assert val == pytest.approx(5.0)
         assert np.array_equal(plan.heights, [0, 1])
 
+    def test_fractional_heights_can_be_protected(self):
+        # Height 3 is the least that survives a flood of 2.5; the search
+        # used to cap the substation at 2, which never protects it.
+        g = two_bus_grid(susceptance=10.0)
+        problem = TwoStageProblem(g, uniform_scenarios([[2.5]], g.flooded_ids))
+        plan, val = solve_first_stage(problem, budget=100.0)
+        best, optima = enumerate_first_stage(problem, 100.0)
+        assert np.array_equal(plan.heights, [3]) and val == 0.0
+        assert best == 0.0 and min(optima) == (3,)
+
     def test_budget_is_respected(self):
         rng = np.random.default_rng(5)
         for trial in range(6):
@@ -890,6 +900,17 @@ class TestBudgetSweep:
         problem = TwoStageProblem(grid, scen)
         reports = budget_sweep(problem, [5.0, 1.0], scen)
         assert [r.budget for r in reports] == [1.0, 5.0]
+
+    def test_node_limit_keeps_the_finished_budgets(self):
+        grid, scen = generate_instance(InstanceSpec(
+            n_substations=12, n_flooded=8, buses_per_substation=2, topology="grid",
+            n_scenarios=24, max_height=5, budget=50.0, seed=3))
+        problem = TwoStageProblem(grid, scen)
+        with pytest.raises(ResourceLimitError) as exc:
+            budget_sweep(problem, [20.0, 0.0, 10.0, 5.0], scen, node_budget=1000)
+        assert exc.value.plan is not None
+        want = budget_sweep(problem, [0.0, 5.0, 10.0], scen)
+        assert [r.to_dict() for r in exc.value.reports] == [r.to_dict() for r in want]
 
     def test_empty_and_negative_budget_lists(self):
         grid, scen = small_instance(33)

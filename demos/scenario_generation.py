@@ -28,7 +28,7 @@ train = ScenarioSet.with_uniform_probs(np.clip(np.floor(np.exp(1.0 + 0.6 * z)), 
 
 model = fit(train)
 rep = model.report
-print(f"fitted {train.dim} marginals, {len(rep.pairs)} correlation pairs")
+print(f"fitted {train.dim} marginals, {rep.residual.size} correlation pairs")
 print(f"  clamped (Frechet-infeasible) pairs : {rep.clamp_count}")
 print(f"  worst achievable-correlation gap   : {rep.max_residual:.4f}")
 print(f"  PSD repair distance (Frobenius)    : {rep.repair_distance:.2e}")

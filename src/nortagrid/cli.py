@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 input validation, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import datetime
@@ -26,13 +27,13 @@ import numpy as np
 
 from . import __version__, lp, norta
 from .errors import NumericalError, ResourceLimitError, ValidationError
-from .grid import (BUDGET_SLACK, GridInstance, HardeningPlan, InstanceSpec, _field, _is_real,
-                   _read_json, generate_instance, load_grid, load_scenarios, save_grid,
-                   save_scenarios)
-from .norta import FitReport, NortaModel, PairMatch, ScenarioSet, estimate_inputs
+from .grid import (_KINDS, BUDGET_SLACK, GridInstance, HardeningPlan, InstanceSpec, _field,
+                   _is_real, _read_json, generate_instance, load_grid, load_scenarios,
+                   save_grid, save_scenarios)
+from .norta import FitReport, NortaModel, ScenarioSet, estimate_inputs
 from .stats import EmpiricalMarginal, emd, spread
 from .twostage import (STAT_ROWS, RecourseSolver, TwoStageProblem, budget_sweep,
-                       evaluate_oos, greedy_first_stage, solve_first_stage)
+                       evaluate_oos, greedy_first_stage, solve_budgets, solve_first_stage)
 
 __all__ = ["build_parser", "load_model", "load_plans", "main"]
 
@@ -95,10 +96,6 @@ def _say(args, msg):
         print(msg)
 
 
-def _mat(a):
-    return [[float(v) for v in row] for row in np.asarray(a)]
-
-
 def _seven_stats(values):
     """Table-style summary: mean/std/min/25%/50%/75%/max."""
     arr = np.asarray(values, dtype=float)
@@ -122,19 +119,35 @@ def _finite_list(values, where):
     return np.array(values, dtype=float)
 
 
-_PAIR_FIELDS = (("i", int), ("j", int), ("target", float), ("rho_z", float),
-                ("residual", float), ("clamped", bool))
 _REPORT_FIELDS = (("repair_distance", float), ("chol_jitter", float),
                   ("rho_evaluations", int), ("pair_evaluations", int),
                   ("settled_evaluations", int))
 
 
+def _pair_column(pairs, name, n_pairs, kind):
+    """Fit-report column `name`: a JSON list of n_pairs finite numbers
+    (kind float) or booleans (kind bool), as an array. Types are checked
+    in one pass; only a bad column is walked, to name its first bad entry."""
+    where, values = f"fit_report.pairs.{name}", pairs[name]
+    if not isinstance(values, list) or len(values) != n_pairs:
+        raise ValidationError(f"{where} must be a list of {n_pairs} entries, one per pair")
+    if set(map(type, values)) <= ({float, int} if kind is float else {bool}):
+        column = np.array(values, dtype=kind)
+        if np.all(np.isfinite(column)):
+            return column
+    ok, what = _KINDS[kind]
+    k = next(k for k, v in enumerate(values) if not ok(v))
+    raise ValidationError(f"{where}[{k}]: must be {what}, got {values[k]!r}")
+
+
 def load_model(path) -> NortaModel:
-    """A fitted model from its JSON file. Column ids, pair indices and
-    the fit report's work counters (0 when absent) must be JSON
-    integers, marginals, matrices and the other fit-report numbers
-    finite JSON numbers, and `clamped` flags JSON booleans; a value of
-    another type is rejected, naming its field."""
+    """A fitted model from its JSON file. Column ids and the fit
+    report's work counters (0 when absent) must be JSON integers,
+    marginals, matrices and the other report numbers finite JSON
+    numbers. The report's `pairs` are columns in ``np.triu_indices(n,
+    1)`` order: `residual` finite numbers, `clamped` JSON booleans. A
+    value of another type is rejected, naming its field; the older
+    one-object-per-pair layout is rejected, asking for a new `fit`."""
     data = _read_json(path)
     try:
         marginals = [EmpiricalMarginal(_finite_list(vals, f"marginals[{j}]"))
@@ -145,17 +158,18 @@ def load_model(path) -> NortaModel:
         raw_cols = data.get("columns")
         columns = None if raw_cols is None else tuple(
             _field(raw_cols, k, int, "columns") for k in range(len(raw_cols)))
-        rep = data.get("fit_report", {})
-        pairs = []
-        for k, p in enumerate(rep.get("pairs", [])):
-            where = f"fit_report.pairs[{k}]"
-            pairs.append(PairMatch(*[_field(p, name, kind, where) for name, kind in _PAIR_FIELDS]))
+        rep = data["fit_report"]
+        if not isinstance(rep["pairs"], dict):
+            raise ValidationError("fit_report.pairs is in the old one-object-per-pair "
+                                  "layout; re-run `nortagrid fit` to rewrite the model")
+        n = len(marginals)
+        residual, clamped = (_pair_column(rep["pairs"], name, n * (n - 1) // 2, kind)
+                             for name, kind in (("residual", float), ("clamped", bool)))
         scalars = [_field(rep, name, kind, "fit_report") if name in rep else kind(0)
                    for name, kind in _REPORT_FIELDS]
-        report = FitReport(pairs, *scalars)
-    except (KeyError, TypeError, ValueError) as exc:
+        report = FitReport(residual, clamped, *scalars)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed model file {path}: {exc}") from exc
-    n = len(marginals)
     for name, m in (("sigma_x", sigma_x), ("sigma_z", sigma_z), ("y", y), ("chol", chol)):
         if m.shape != (n, n):
             raise ValidationError(
@@ -262,11 +276,11 @@ def cmd_fit(args):
     payload = {
         "format": "nortagrid-model",
         "columns": [int(c) for c in model.columns] if model.columns is not None else None,
-        "marginals": [[float(v) for v in m.sorted_values] for m in model.marginals],
-        "sigma_x": _mat(model.sigma_x),
-        "sigma_z": _mat(model.sigma_z),
-        "y": _mat(model.y),
-        "chol": _mat(model.chol),
+        "marginals": [m.sorted_values.tolist() for m in model.marginals],
+        "sigma_x": model.sigma_x.tolist(),
+        "sigma_z": model.sigma_z.tolist(),
+        "y": model.y.tolist(),
+        "chol": model.chol.tolist(),
         "fit_report": model.report.to_dict(),
     }
     _write_json(args.out, payload, manifest)
@@ -302,27 +316,23 @@ def cmd_validate(args):
         raise ValidationError("scenario files carry different substation ids")
     marg_o, sig_o = estimate_inputs(orig)
     marg_s, sig_s = estimate_inputs(synth)
-    n = orig.dim
-    ids = orig.columns if orig.columns is not None else tuple(range(n))
-    emds = [emd(marg_o[j], marg_s[j]) for j in range(n)]
-    pairs = []
-    errs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = abs(float(sig_o[i, j]) - float(sig_s[i, j]))
-            pairs.append({"i": int(ids[i]), "j": int(ids[j]), "value": v})
-            errs.append(v)
+    ids = np.array(orig.columns, dtype=int)  # load_scenarios always reads the ids
+    emds = [emd(a, b) for a, b in zip(marg_o, marg_s)]
+    i, j = np.triu_indices(orig.dim, 1)
+    errs = np.abs(sig_o[i, j] - sig_s[i, j])
     manifest = _manifest(args, "validate", [args.scenarios, args.synthetic])
     payload = {
         "format": "nortagrid-validation",
         "n_scenarios": orig.n_scenarios,
         "n_synthetic": synth.n_scenarios,
         "emd": {
-            "per_dimension": [{"column": int(ids[j]), "value": float(emds[j])}
-                              for j in range(n)],
+            "per_dimension": {"column": ids.tolist(), "value": [float(v) for v in emds]},
             "summary": _seven_stats(emds),
         },
-        "correlation_error": {"pairs": pairs, "summary": _seven_stats(errs)},
+        "correlation_error": {
+            "pairs": {"i": ids[i].tolist(), "j": ids[j].tolist(), "value": errs.tolist()},
+            "summary": _seven_stats(errs),
+        },
     }
     _write_json(args.out, payload, manifest)
     msg = f"validate: mean EMD {payload['emd']['summary']['mean']:.4g}"
@@ -351,28 +361,33 @@ def _parse_budgets(args, grid):
     return budgets
 
 
-def _check_node_budget(args):
-    # Checked for every method: greedy ignores the node budget, but a
-    # bad value is still a bad command line.
+def _budget_inputs(args):
+    """The grid, training problem, budgets and a fresh recourse solver of
+    `solve` and `sweep`. The node budget is checked for every method:
+    greedy ignores it, but a bad value is still a bad command line."""
     if args.node_budget < 1:
         raise ValidationError(f"--node-budget: node_budget must be an integer >= 1, "
                               f"got {args.node_budget!r}")
+    grid = load_grid(args.grid)
+    problem = TwoStageProblem(grid, load_scenarios(args.scenarios))
+    return grid, problem, _parse_budgets(args, grid), RecourseSolver(grid)
+
+
+# A budget `solve` finished: what `main` lists when a later budget stops.
+_Solved = collections.namedtuple("_Solved", "budget plan so_estimate")
 
 
 def cmd_solve(args):
-    _check_node_budget(args)
-    grid = load_grid(args.grid)
-    scen = load_scenarios(args.scenarios)
-    problem = TwoStageProblem(grid, scen)
-    budgets = sorted(_parse_budgets(args, grid))
-    solver = RecourseSolver(grid)
-    entries = []
-    for b in budgets:
+    grid, problem, budgets, solver = _budget_inputs(args)
+
+    def step(b):
         if args.method == "greedy":
-            plan, so = greedy_first_stage(problem, b, solver=solver)
-        else:
-            plan, so = solve_first_stage(problem, b, node_budget=args.node_budget,
-                                         solver=solver)
+            return _Solved(b, *greedy_first_stage(problem, b, solver=solver))
+        return _Solved(b, *solve_first_stage(problem, b, node_budget=args.node_budget,
+                                             solver=solver))
+
+    entries = []
+    for b, plan, so in solve_budgets(budgets, step):
         entries.append({
             "budget": float(b),
             "heights": {str(sid): int(h)
@@ -401,12 +416,9 @@ def cmd_evaluate(args):
     synth = load_scenarios(args.synthetic)
     problem = TwoStageProblem(grid, synth)
     solver = RecourseSolver(grid)
-    reports = []
-    for budget, plan, so in load_plans(args.plan, grid):
-        rep = evaluate_oos(problem, plan, synth, solver=solver)
-        rep.budget = budget
-        rep.so_estimate = so
-        reports.append(rep)
+    reports = [dataclasses.replace(evaluate_oos(problem, plan, synth, solver=solver),
+                                   budget=budget, so_estimate=so)
+               for budget, plan, so in load_plans(args.plan, grid)]
     manifest = _manifest(args, "evaluate", [args.grid, args.plan, args.synthetic],
                          tolerances={"lp_feas_tol": lp.FEAS_TOL, "lp_opt_tol": lp.OPT_TOL})
     manifest["work"] = _work(solver)
@@ -414,13 +426,8 @@ def cmd_evaluate(args):
 
 
 def cmd_sweep(args):
-    _check_node_budget(args)
-    grid = load_grid(args.grid)
-    scen = load_scenarios(args.scenarios)
+    grid, problem, budgets, solver = _budget_inputs(args)
     synth = load_scenarios(args.synthetic)
-    problem = TwoStageProblem(grid, scen)
-    budgets = _parse_budgets(args, grid)
-    solver = RecourseSolver(grid)
     reports = budget_sweep(problem, budgets, synth, node_budget=args.node_budget,
                            solver=solver)
     for rep in reports:

@@ -32,8 +32,8 @@ class ResourceLimitError(RuntimeError):
 
     A search stopped early carries what it has: its best plan so far
     (None before the first one) and that plan's value, a lower bound on
-    the optimum, and the nodes it visited. A budget sweep stopped early
-    also carries the reports of the budgets it finished (`reports`).
+    the optimum, and the nodes it visited. A run over several budgets
+    (`twostage.solve_budgets`) also carries the ones it finished (`reports`).
     """
 
     def __init__(self, message, *, plan=None, value=None, bound=None, nodes=None):

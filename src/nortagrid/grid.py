@@ -531,19 +531,19 @@ def save_scenarios(s: ScenarioSet, path):
     s.validate_heights()
     if s.columns is None:
         raise ValidationError("scenario set has no column ids to write")
-    k = s.n_scenarios
-    uniform = np.allclose(s.probs, 1.0 / k, rtol=0.0, atol=1e-15)
+    uniform = np.allclose(s.probs, 1.0 / s.n_scenarios, rtol=0.0, atol=1e-15)
+    heights = np.rint(s.scenarios).astype(np.int64)
+    # As wide as the longest height: astype(str) takes 84 bytes a cell.
+    rows = heights.astype(f"U{len(str(heights.max(initial=0)))}").tolist()
+    header = [str(c) for c in s.columns]
+    if not uniform:
+        header.append(_PROB_HEADER)
+        for row, p in zip(rows, s.probs.tolist()):
+            row.append(repr(p))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        header = [str(c) for c in s.columns]
-        if not uniform:
-            header.append(_PROB_HEADER)
         writer.writerow(header)
-        for i in range(k):
-            row = [str(int(round(v))) for v in s.scenarios[i]]
-            if not uniform:
-                row.append(repr(float(s.probs[i])))
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def load_scenarios(path) -> ScenarioSet:

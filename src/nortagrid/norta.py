@@ -57,7 +57,6 @@ from .stats import (
 __all__ = [
     "FitReport",
     "NortaModel",
-    "PairMatch",
     "RhoMatch",
     "ScenarioSet",
     "c_of_rho",
@@ -153,24 +152,18 @@ class RhoMatch(NamedTuple):
     clamped: bool
 
 
-@dataclass(frozen=True)
-class PairMatch:
-    i: int
-    j: int
-    target: float
-    rho_z: float
-    residual: float
-    clamped: bool
-
-
 @dataclass
 class FitReport:
-    """Per-pair matches, the PSD repair and jitter, and the matching work:
-    distinct rhos and (pair, rho) evaluations of c summed over the
-    bisection rounds, and how many of those pair evaluations were
-    settled from a few watched nodes instead of the whole quadrature."""
+    """Per-pair matches, the PSD repair and jitter, and the matching work.
 
-    pairs: list = field(default_factory=list)
+    `residual` (|c(rho_z) - target|) and `clamped` (target outside the
+    attainable range) have one entry per pair in ``np.triu_indices(n, 1)``
+    order; a pair's target and rho_z are its sigma_x and sigma_z entries.
+    The work: distinct rhos and (pair, rho) evaluations of c over the
+    bisection rounds, and the pair evaluations settled from watched nodes."""
+
+    residual: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    clamped: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     repair_distance: float = 0.0
     chol_jitter: float = 0.0
     rho_evaluations: int = 0
@@ -179,19 +172,15 @@ class FitReport:
 
     @property
     def clamp_count(self):
-        return sum(1 for p in self.pairs if p.clamped)
+        return int(np.count_nonzero(self.clamped))
 
     @property
     def max_residual(self):
-        return max((p.residual for p in self.pairs), default=0.0)
+        return float(np.max(self.residual, initial=0.0))
 
     def to_dict(self):
         return {
-            "pairs": [
-                {"i": p.i, "j": p.j, "target": p.target, "rho_z": p.rho_z,
-                 "residual": p.residual, "clamped": p.clamped}
-                for p in self.pairs
-            ],
+            "pairs": {"residual": self.residual.tolist(), "clamped": self.clamped.tolist()},
             "repair_distance": self.repair_distance,
             "chol_jitter": self.chol_jitter,
             "clamp_count": self.clamp_count,
@@ -737,14 +726,9 @@ def fit(s: ScenarioSet, *, degree=64, match_tol=1e-4, bisect_max_iter=200) -> No
                                                 bisect_max_iter)
     sigma_z = np.eye(n)
     sigma_z[i, j] = sigma_z[j, i] = rho
-    report = FitReport([PairMatch(*pair) for pair in zip(
-        i.tolist(), j.tolist(), targets.tolist(), rho.tolist(), residual.tolist(),
-        clamped.tolist())])
-    report.rho_evaluations, report.pair_evaluations, report.settled_evaluations = work
     y = nearest_correlation(sigma_z)
-    report.repair_distance = float(np.linalg.norm(sigma_z - y))
     chol, jitter = _cholesky_with_jitter(y)
-    report.chol_jitter = jitter
+    report = FitReport(residual, clamped, float(np.linalg.norm(sigma_z - y)), jitter, *work)
     return NortaModel(marginals=marginals, sigma_x=sigma_x, sigma_z=sigma_z,
                       y=y, chol=chol, report=report, columns=s.columns)
 

@@ -21,7 +21,7 @@ is optimal. Only components where a line or an angle binds run an LP.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "evaluate_oos",
     "greedy_first_stage",
     "saa_objective",
+    "solve_budgets",
     "solve_first_stage",
 ]
 
@@ -719,6 +720,19 @@ def evaluate_oos(problem: TwoStageProblem, plan: HardeningPlan,
                      v_oos=fs_cost + mean, first_stage_cost=fs_cost, plan=plan)
 
 
+def solve_budgets(budgets, step):
+    """[step(b) for b in sorted(budgets)]; a step stopped by its node
+    budget raises with the finished steps' results as `reports`."""
+    done = []
+    for budget in sorted(budgets):
+        try:
+            done.append(step(budget))
+        except ResourceLimitError as exc:
+            exc.reports = done
+            raise
+    return done
+
+
 def budget_sweep(problem: TwoStageProblem, budgets, synthetic: ScenarioSet,
                  *, node_budget=10 ** 6, solver=None):
     """Solve-then-evaluate across budgets; reports ordered by budget.
@@ -737,16 +751,10 @@ def budget_sweep(problem: TwoStageProblem, budgets, synthetic: ScenarioSet,
     _check_node_budget(node_budget)
     _check_columns(problem.grid, synthetic, "synthetic")
     solver = solver or RecourseSolver(problem.grid)
-    reports = []
-    for budget in sorted(budgets):
-        try:
-            plan, so = solve_first_stage(problem, budget, node_budget=node_budget,
-                                         solver=solver)
-        except ResourceLimitError as exc:
-            exc.reports = reports
-            raise
-        rep = evaluate_oos(problem, plan, synthetic, solver=solver)
-        rep.so_estimate = so
-        rep.budget = budget
-        reports.append(rep)
-    return reports
+
+    def step(budget):
+        plan, so = solve_first_stage(problem, budget, node_budget=node_budget, solver=solver)
+        return replace(evaluate_oos(problem, plan, synthetic, solver=solver),
+                       so_estimate=so, budget=budget)
+
+    return solve_budgets(budgets, step)

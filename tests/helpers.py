@@ -3,9 +3,11 @@
 Oracles here recompute answers from first principles (exhaustive plan
 enumeration, LP vertex enumeration, big-M feasibility, one recourse LP
 over the whole grid, the per-row simplex ratio test, a simplex solving
-with its basis afresh at every step, one correlation match per pair) so
-that a bug in the library cannot hide behind shared code paths.
+with its basis afresh at every step, one correlation match per pair,
+the scenario CSV written cell by cell) so that a bug in the library
+cannot hide behind shared code paths.
 """
+import csv
 import itertools
 import math
 
@@ -26,7 +28,7 @@ from nortagrid.grid import (
 from nortagrid import lp
 from nortagrid import norta
 from nortagrid.lp import LpProblem
-from nortagrid.norta import FitReport, PairMatch, RhoMatch, ScenarioSet
+from nortagrid.norta import FitReport, RhoMatch, ScenarioSet
 from nortagrid.stats import EmpiricalMarginal, normal_cdf, normal_score_thresholds
 from nortagrid.twostage import RecourseSolver, TwoStageProblem, _SaaEvaluator, _search_data
 
@@ -636,16 +638,17 @@ def per_pair_fit(s, *, degree=64, match_tol=1e-4, bisect_max_iter=200):
     marginals, sigma_x = norta.estimate_inputs(s)
     n = len(marginals)
     sigma_z = np.eye(n)
-    report = FitReport()
-    asked = []
+    residual, clamped, asked = [], [], []
     for i in range(n):
         for j in range(i + 1, n):
-            target = float(sigma_x[i, j])
             asked.append([])
-            m = per_pair_rho_z(marginals[i], marginals[j], target, tol=match_tol,
-                               max_iter=bisect_max_iter, degree=degree, asked=asked[-1])
+            m = per_pair_rho_z(marginals[i], marginals[j], float(sigma_x[i, j]),
+                               tol=match_tol, max_iter=bisect_max_iter, degree=degree,
+                               asked=asked[-1])
             sigma_z[i, j] = sigma_z[j, i] = m.rho_z
-            report.pairs.append(PairMatch(i, j, target, m.rho_z, m.residual, m.clamped))
+            residual.append(m.residual)
+            clamped.append(m.clamped)
+    report = FitReport(np.array(residual, dtype=float), np.array(clamped, dtype=bool))
     rounds = itertools.zip_longest(*asked)
     report.rho_evaluations = sum(len(set(r) - {None}) for r in rounds)
     report.pair_evaluations = sum(map(len, asked))
@@ -653,3 +656,21 @@ def per_pair_fit(s, *, degree=64, match_tol=1e-4, bisect_max_iter=200):
     report.repair_distance = float(np.linalg.norm(sigma_z - y))
     report.chol_jitter = norta._cholesky_with_jitter(y)[1]
     return sigma_z, report
+
+
+def save_scenarios_per_row(s, path):
+    """The scenario CSV as written one row and one cell at a time: the
+    byte oracle for ``grid.save_scenarios``."""
+    k = s.n_scenarios
+    uniform = np.allclose(s.probs, 1.0 / k, rtol=0.0, atol=1e-15)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        header = [str(c) for c in s.columns]
+        if not uniform:
+            header.append("#prob")
+        writer.writerow(header)
+        for i in range(k):
+            row = [str(int(round(v))) for v in s.scenarios[i]]
+            if not uniform:
+                row.append(repr(float(s.probs[i])))
+            writer.writerow(row)

@@ -63,7 +63,9 @@ class TestPipelineArtifacts:
         for key in ("sigma_x", "sigma_z", "y", "chol"):
             assert np.asarray(data[key]).shape == (3, 3)
         assert data["columns"] == [0, 1, 2]
-        assert len(data["fit_report"]["pairs"]) == 3
+        # One entry per pair, in np.triu_indices(3, 1) order.
+        pairs = data["fit_report"]["pairs"]
+        assert {name: len(col) for name, col in pairs.items()} == {"residual": 3, "clamped": 3}
 
     def test_manifest_embedded_in_artifacts(self, workdir):
         data = json.loads((workdir / "model.json").read_text())
@@ -101,8 +103,12 @@ class TestPipelineArtifacts:
     def test_validation_report_schema(self, workdir):
         data = json.loads((workdir / "val.json").read_text())
         assert data["format"] == "nortagrid-validation"
-        assert len(data["emd"]["per_dimension"]) == 3
-        assert len(data["correlation_error"]["pairs"]) == 3
+        per_dimension = data["emd"]["per_dimension"]
+        assert per_dimension["column"] == [0, 1, 2] and len(per_dimension["value"]) == 3
+        pairs = data["correlation_error"]["pairs"]
+        assert (pairs["i"], pairs["j"]) == ([0, 0, 1], [1, 2, 2])
+        assert len(pairs["value"]) == 3
+        assert max(pairs["value"]) == data["correlation_error"]["summary"]["max"]
         for summary in (data["emd"]["summary"], data["correlation_error"]["summary"]):
             assert set(summary) == {"mean", "std", "min", "25%", "50%", "75%", "max"}
 
@@ -338,30 +344,59 @@ class TestCliErrors:
         assert len(match.group(1).split(",")) == 3
         assert bound <= value and gap == pytest.approx(value - bound, rel=1e-5)
 
-    def test_sweep_node_limit_lists_the_finished_budgets(self, tmp_path, capsys):
+    @pytest.fixture(scope="class")
+    def spec3(self, tmp_path_factory):
+        """hardening-sweep's instance (spec seed 3): grid, training set and
+        a 30-scenario synthetic set, paths in that order."""
+        d = tmp_path_factory.mktemp("spec3")
         spec = {"n_substations": 12, "n_flooded": 8, "buses_per_substation": 2,
                 "topology": "grid", "n_scenarios": 24, "max_height": 5, "budget": 50,
                 "seed": 3}
-        (tmp_path / "spec.json").write_text(json.dumps(spec))
-        grid, train, model, synth = (tmp_path / f for f in (
+        (d / "spec.json").write_text(json.dumps(spec))
+        grid, train, model, synth = (d / f for f in (
             "grid.json", "train.csv", "model.json", "synth.csv"))
-        assert run("make-instance", "--spec", tmp_path / "spec.json", "--out", grid, train,
+        assert run("make-instance", "--spec", d / "spec.json", "--out", grid, train,
                    "--quiet") == 0
         assert run("fit", train, "--out", model, "--quiet") == 0
         assert run("generate", model, "--count", 30, "--out", synth, "--quiet") == 0
+        return grid, train, synth
+
+    @staticmethod
+    def finished_budgets(err):
+        return re.findall(r"finished budget (\S+): heights \[([\d, ]+)\], "
+                          r"SO estimate (\S+)", err)
+
+    def test_sweep_node_limit_lists_the_finished_budgets(self, spec3, tmp_path, capsys):
+        grid, train, synth = spec3
         capsys.readouterr()
         out = tmp_path / "sweep.json"
         assert run("sweep", grid, train, synth, "--budgets", "0,5,10,20",
                    "--node-budget", 1000, "--out", out, "--quiet") == 4
         assert not out.exists()
         err = capsys.readouterr().err
-        finished = re.findall(r"finished budget (\S+): heights \[([\d, ]+)\], "
-                              r"SO estimate (\S+)", err)
+        finished = self.finished_budgets(err)
         assert [b for b, _, _ in finished] == ["0", "5", "10"]
         assert all(len(h.split(",")) == 8 for _, h, _ in finished)
         so = [float(v) for _, _, v in finished]
         assert so == sorted(so, reverse=True)
         assert "at budget 20" in err and "best plan so far" in err
+
+    def test_solve_node_limit_lists_the_finished_budgets(self, spec3, tmp_path, capsys):
+        # solve and sweep run their budgets through one loop, so a stopped
+        # solve lists what sweep lists under the same options.
+        grid, train, synth = spec3
+        capsys.readouterr()
+        out = tmp_path / "plans.json"
+        assert run("solve", grid, train, "--budgets", "20,0,10,5",
+                   "--node-budget", 100, "--out", out, "--quiet") == 4
+        assert not out.exists()
+        err = capsys.readouterr().err
+        finished = self.finished_budgets(err)
+        assert [b for b, _, _ in finished] == ["0", "5"]
+        assert "at budget 10" in err and "best plan so far" in err
+        assert run("sweep", grid, train, synth, "--budgets", "0,5,10,20",
+                   "--node-budget", 100, "--out", tmp_path / "sweep.json", "--quiet") == 4
+        assert self.finished_budgets(capsys.readouterr().err) == finished
 
     def test_numerical_error_exit_code(self, workdir, tmp_path, monkeypatch, capsys):
         def boom(*a, **k):
@@ -420,12 +455,12 @@ class TestCliErrors:
         ("chol", "chol must hold finite numbers, got nan"),
         ("sigma_z", "sigma_z must hold finite numbers, got inf"),
         ("marginals", "marginals[0] must hold finite numbers, got '2'"),
-        ("clamped", "fit_report.pairs[0]: clamped must be true or false, got 'false'"),
+        ("clamped", "fit_report.pairs.clamped[0]: must be true or false, got 'false'"),
     ])
     def test_model_fields_are_not_coerced(self, workdir, tmp_path, capsys, field, message):
         data = json.loads((workdir / "model.json").read_text())
         if field == "clamped":
-            data["fit_report"]["pairs"][0]["clamped"] = "false"
+            data["fit_report"]["pairs"]["clamped"][0] = "false"
         elif field == "marginals":
             data["marginals"][0][0] = "2"
         else:
@@ -440,10 +475,10 @@ class TestCliErrors:
     @pytest.mark.parametrize("path, value, message", [
         (("columns", 0), 0.5, "columns: 0 must be an integer, got 0.5"),
         (("columns", 1), "3", "columns: 1 must be an integer, got '3'"),
-        (("fit_report", "pairs", 0, "i"), True,
-         "fit_report.pairs[0]: i must be an integer, got True"),
-        (("fit_report", "pairs", 0, "target"), "0.5",
-         "fit_report.pairs[0]: target must be a finite number, got '0.5'"),
+        (("fit_report", "pairs", "residual", 0), True,
+         "fit_report.pairs.residual[0]: must be a finite number, got True"),
+        (("fit_report", "pairs", "residual", 1), "0.5",
+         "fit_report.pairs.residual[1]: must be a finite number, got '0.5'"),
         (("fit_report", "chol_jitter"), None,
          "fit_report: chol_jitter must be a finite number, got None"),
         (("fit_report", "rho_evaluations"), 1.5,
@@ -452,6 +487,10 @@ class TestCliErrors:
          "fit_report: pair_evaluations must be an integer, got '81811'"),
         (("fit_report", "settled_evaluations"), 2.0,
          "fit_report: settled_evaluations must be an integer, got 2.0"),
+        (("fit_report", "pairs", "residual", 2), float("nan"),
+         "fit_report.pairs.residual[2]: must be a finite number, got nan"),
+        (("fit_report", "pairs", "clamped", 1), 1,
+         "fit_report.pairs.clamped[1]: must be true or false, got 1"),
     ])
     def test_model_ids_and_fit_report_are_not_coerced(self, workdir, tmp_path, capsys,
                                                       path, value, message):
@@ -466,6 +505,39 @@ class TestCliErrors:
         out = tmp_path / "s.csv"
         assert run("generate", p, "--count", 5, "--out", out) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column", ["residual", "clamped"])
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_pair_columns_hold_one_entry_per_pair(self, workdir, tmp_path, capsys, column,
+                                                  length):
+        data = json.loads((workdir / "model.json").read_text())
+        values = data["fit_report"]["pairs"][column]
+        data["fit_report"]["pairs"][column] = (values * 2)[:length]
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(data))
+        out = tmp_path / "s.csv"
+        assert run("generate", p, "--count", 5, "--out", out) == 2
+        assert (f"fit_report.pairs.{column} must be a list of 3 entries, one per pair"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_model_with_one_object_per_pair_asks_for_a_refit(self, workdir, tmp_path,
+                                                             capsys):
+        # The layout that older versions wrote: targets and rho_z repeated
+        # from sigma_x and sigma_z, one dict per pair.
+        data = json.loads((workdir / "model.json").read_text())
+        pairs = data["fit_report"]["pairs"]
+        data["fit_report"]["pairs"] = [
+            {"i": int(i), "j": int(j), "target": data["sigma_x"][i][j],
+             "rho_z": data["sigma_z"][i][j], "residual": r, "clamped": c}
+            for i, j, r, c in zip(*np.triu_indices(3, 1), pairs["residual"], pairs["clamped"])]
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(data))
+        out = tmp_path / "s.csv"
+        assert run("generate", p, "--count", 5, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "fit_report.pairs" in err and "re-run `nortagrid fit`" in err
         assert not out.exists()
 
     def test_fitted_model_loads_unchanged(self, workdir):

@@ -1,11 +1,15 @@
 """Grid data model, survival topology, instance generator, file formats."""
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import brute_force_big_m_z, dfs_components, two_bus_grid
+from helpers import brute_force_big_m_z, dfs_components, save_scenarios_per_row, two_bus_grid
 from nortagrid.errors import ValidationError
 from nortagrid.grid import (
     Branch,
@@ -23,6 +27,42 @@ from nortagrid.grid import (
     save_scenarios,
 )
 from nortagrid.norta import ScenarioSet
+
+
+ids = st.integers(-10 ** 9, 10 ** 9)
+costs = st.floats(0.0, 1e12)
+positive = st.floats(0.0, 1e12, exclude_min=True)
+
+
+@st.composite
+def grids(draw):
+    """Valid grids with arbitrary ids and finite field values."""
+    sub_ids = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+    subs = [Substation(i, draw(st.booleans()), draw(costs), draw(costs),
+                       draw(st.integers(0, 50))) for i in sub_ids]
+    bus_ids = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
+    buses = [Bus(i, draw(st.sampled_from(sub_ids)), draw(costs), 0.0, draw(costs))
+             for i in bus_ids]
+    branches = []
+    if len(bus_ids) >= 2:
+        for i in draw(st.lists(ids, max_size=6, unique=True)):
+            head, tail = draw(st.permutations(bus_ids))[:2]
+            branches.append(Branch(i, head, tail, draw(positive), draw(positive)))
+    return GridInstance(subs, buses, branches, draw(st.sampled_from(bus_ids)), draw(costs))
+
+
+@st.composite
+def scenario_sets(draw, uniform):
+    """Integer heights under distinct column ids, with uniform or drawn
+    probabilities."""
+    k, n = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    heights = np.array(draw(st.lists(st.integers(0, 10 ** 6), min_size=k * n,
+                                     max_size=k * n)), dtype=float).reshape(k, n)
+    columns = draw(st.lists(ids, min_size=n, max_size=n, unique=True))
+    if uniform:
+        return ScenarioSet.with_uniform_probs(heights, columns=columns)
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k)))
+    return ScenarioSet(heights, weights / weights.sum(), columns=columns)
 
 
 def components(grid, z):
@@ -405,6 +445,14 @@ class TestGridFiles:
         with pytest.raises(ValidationError):
             load_grid(tmp_path / "nope.json")
 
+    @settings(max_examples=80, deadline=None)
+    @given(grids())
+    def test_any_grid_survives_the_round_trip(self, grid):
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "grid.json"
+            save_grid(grid, p)
+            assert load_grid(p).to_dict() == grid.to_dict()
+
 
 class TestScenarioFiles:
     def test_uniform_roundtrip_omits_probs(self, tmp_path):
@@ -474,6 +522,22 @@ class TestScenarioFiles:
         p.write_text("0,1\n1,2\n3\n")
         with pytest.raises(ValidationError):
             load_scenarios(p)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.booleans().flatmap(scenario_sets))
+    def test_any_set_survives_the_round_trip(self, s):
+        # Heights and ids come back exactly, probabilities up to the
+        # reader's renormalization; the bytes are those of the per-row
+        # writer.
+        with tempfile.TemporaryDirectory() as d:
+            p, oracle = Path(d) / "scen.csv", Path(d) / "oracle.csv"
+            save_scenarios(s, p)
+            save_scenarios_per_row(s, oracle)
+            assert p.read_bytes() == oracle.read_bytes()
+            again = load_scenarios(p)
+        assert np.array_equal(again.scenarios, s.scenarios)
+        assert again.columns == s.columns
+        assert np.max(np.abs(again.probs - s.probs)) <= 1e-12
 
     def test_save_requires_column_ids(self, tmp_path):
         s = ScenarioSet.with_uniform_probs([[1.0]])

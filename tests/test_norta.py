@@ -248,10 +248,10 @@ class TestThresholdPathOracle:
         slow = fit(panel)
         assert np.array_equal(fast.sigma_z, slow.sigma_z)
         assert np.array_equal(fast.chol, slow.chol)
-        exact = ("i", "j", "target", "rho_z", "clamped")
-        for p, q in zip(fast.report.pairs, slow.report.pairs, strict=True):
-            assert [getattr(p, f) for f in exact] == [getattr(q, f) for f in exact]
-            assert abs(p.residual - q.residual) <= self.C_TOL
+        assert np.array_equal(fast.sigma_x, slow.sigma_x)
+        assert np.array_equal(fast.report.clamped, slow.report.clamped)
+        assert fast.report.residual.shape == slow.report.residual.shape
+        assert np.max(np.abs(fast.report.residual - slow.report.residual)) <= self.C_TOL
         fast_rest, slow_rest = fast.report.to_dict(), slow.report.to_dict()
         for d in (fast_rest, slow_rest):
             # Only empirical second columns settle from watched nodes.
@@ -548,15 +548,22 @@ class TestFit:
         rng = np.random.default_rng(8)
         s = ScenarioSet.with_uniform_probs(rng.integers(0, 4, size=(10, 4)))
         model = fit(s)
-        assert len(model.report.pairs) == 6
-        seen = {(p.i, p.j) for p in model.report.pairs}
-        assert seen == {(i, j) for i in range(4) for j in range(i + 1, 4)}
-        assert model.report.clamp_count == sum(p.clamped for p in model.report.pairs)
-        assert model.report.max_residual == max(p.residual for p in model.report.pairs)
-        d = model.report.to_dict()
+        rep = model.report
+        assert rep.residual.shape == rep.clamped.shape == (6,)
+        assert rep.clamped.dtype == bool
+        # Entry k is pair k of np.triu_indices: its residual is |c - target|
+        # at that pair's sigma_z and sigma_x entries.
+        for k, (i, j) in enumerate(zip(*np.triu_indices(4, 1))):
+            c = c_of_rho(model.marginals[i], model.marginals[j], model.sigma_z[i, j])
+            assert abs(abs(c - model.sigma_x[i, j]) - rep.residual[k]) <= 1e-12
+        assert rep.clamp_count == int(rep.clamped.sum())
+        assert rep.max_residual == rep.residual.max()
+        d = rep.to_dict()
         assert set(d) == {"pairs", "repair_distance", "chol_jitter",
                           "clamp_count", "max_residual", "rho_evaluations",
                           "pair_evaluations", "settled_evaluations"}
+        assert d["pairs"] == {"residual": rep.residual.tolist(),
+                              "clamped": rep.clamped.tolist()}
 
     def test_columns_carried_through(self):
         s = ScenarioSet.with_uniform_probs([[0.0, 1.0], [2.0, 0.0]], columns=(12, 40))
@@ -673,7 +680,8 @@ class TestOneColumnPanel:
         s = ScenarioSet.with_uniform_probs([[0.0], [2.0], [1.0], [2.0]], columns=(5,))
         model = fit(s)
         assert np.array_equal(model.sigma_z, [[1.0]])
-        assert model.report.to_dict() == {"pairs": [], "repair_distance": 0.0,
+        assert model.report.to_dict() == {"pairs": {"residual": [], "clamped": []},
+                                          "repair_distance": 0.0,
                                           "chol_jitter": 0.0, "clamp_count": 0,
                                           "max_residual": 0.0, "rho_evaluations": 0,
                                           "pair_evaluations": 0, "settled_evaluations": 0}

@@ -5,7 +5,7 @@ bus. The DC power-flow recourse decides how much demand survives once a
 scenario knocks substations out. Each energized component is first
 served in closed form, demand and generation matched in proportion; if
 those flows fit the line and angle bounds that point is optimal, and
-otherwise the component's LP runs on the simplex. Each case prints the
+otherwise the component's LP runs on HiGHS's dual simplex. Each case prints the
 route it took.
 
     python3 demos/recourse_anatomy.py

@@ -109,14 +109,29 @@ def _seven_stats(values):
 # Model and plan serialization
 
 
+def _checked_array(values, kind):
+    """A JSON list as an array of kind, if every entry is a finite JSON
+    number (kind float) or a JSON boolean (kind bool); else None. Types
+    are checked in one pass and finiteness with one np.isfinite, so only
+    a failing list needs walking, to name its first bad entry."""
+    if not set(map(type, values)) <= ({float, int} if kind is float else {bool}):
+        return None
+    try:
+        array = np.array(values, dtype=kind)
+    except OverflowError:  # a JSON integer past float range
+        return None
+    return array if np.all(np.isfinite(array)) else None
+
+
 def _finite_list(values, where):
     """A JSON list of finite numbers as a float array."""
     if not isinstance(values, list):
         raise ValidationError(f"{where} must be a list of numbers")
-    for v in values:
-        if not _is_real(v):
-            raise ValidationError(f"{where} must hold finite numbers, got {v!r}")
-    return np.array(values, dtype=float)
+    array = _checked_array(values, float)
+    if array is None:
+        bad = next(v for v in values if not _is_real(v))
+        raise ValidationError(f"{where} must hold finite numbers, got {bad!r}")
+    return array
 
 
 _REPORT_FIELDS = (("repair_distance", float), ("chol_jitter", float),
@@ -126,18 +141,17 @@ _REPORT_FIELDS = (("repair_distance", float), ("chol_jitter", float),
 
 def _pair_column(pairs, name, n_pairs, kind):
     """Fit-report column `name`: a JSON list of n_pairs finite numbers
-    (kind float) or booleans (kind bool), as an array. Types are checked
-    in one pass; only a bad column is walked, to name its first bad entry."""
+    (kind float) or booleans (kind bool), as an array; a bad column
+    names its first bad entry."""
     where, values = f"fit_report.pairs.{name}", pairs[name]
     if not isinstance(values, list) or len(values) != n_pairs:
         raise ValidationError(f"{where} must be a list of {n_pairs} entries, one per pair")
-    if set(map(type, values)) <= ({float, int} if kind is float else {bool}):
-        column = np.array(values, dtype=kind)
-        if np.all(np.isfinite(column)):
-            return column
-    ok, what = _KINDS[kind]
-    k = next(k for k, v in enumerate(values) if not ok(v))
-    raise ValidationError(f"{where}[{k}]: must be {what}, got {values[k]!r}")
+    column = _checked_array(values, kind)
+    if column is None:
+        ok, what = _KINDS[kind]
+        k = next(k for k, v in enumerate(values) if not ok(v))
+        raise ValidationError(f"{where}[{k}]: must be {what}, got {values[k]!r}")
+    return column
 
 
 def load_model(path) -> NortaModel:
@@ -168,7 +182,7 @@ def load_model(path) -> NortaModel:
         scalars = [_field(rep, name, kind, "fit_report") if name in rep else kind(0)
                    for name, kind in _REPORT_FIELDS]
         report = FitReport(residual, clamped, *scalars)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed model file {path}: {exc}") from exc
     for name, m in (("sigma_x", sigma_x), ("sigma_z", sigma_z), ("y", y), ("chol", chol)):
         if m.shape != (n, n):

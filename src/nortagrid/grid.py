@@ -201,8 +201,14 @@ def _is_int(v):
 
 
 def _is_real(v):
-    return (isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-            and math.isfinite(v))
+    """A finite number, not a bool. A JSON integer past float range is
+    not finite: math.isfinite raises OverflowError on it."""
+    if not isinstance(v, (int, float, np.integer, np.floating)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 _KINDS = {int: (_is_int, "an integer"), float: (_is_real, "a finite number"),

@@ -13,7 +13,7 @@ evaluation path (SAA, branch-and-bound bounds, out-of-sample sweeps).
 Every path scores a whole batch of height vectors against all scenarios
 with one lookup in a sorted table of survival patterns.
 
-Most components never reach the simplex: the proportional copper-plate
+Most components never reach the LP solver: the proportional copper-plate
 dispatch, which serves min(total demand, total generation), is checked
 against the line and angle bounds in closed form and, where it fits,
 is optimal. Only components where a line or an angle binds run an LP.
@@ -208,14 +208,7 @@ class RecourseSolver:
         a[nb + r, idx_e + r] = 1.0
         a[nb + r, idx_a + heads] = -b
         a[nb + r, idx_a + tails] = b
-        # Start basis at x = 0: the slack of balance row 0, every other
-        # angle and every flow. Eliminating the flows leaves the reduced
-        # Laplacian beside e_0, which is nonsingular on a connected
-        # component since e_0 is not in the range of the Laplacian.
-        basis = np.concatenate([[c.size], np.delete(np.arange(idx_a, idx_e), ref - idx_a),
-                                idx_e + r])
-        return lp.LpProblem(c.size, c, lo, hi, a, np.full(nb + nr, "=="), np.zeros(nb + nr),
-                            basis)
+        return lp.LpProblem(c.size, c, lo, hi, a, np.full(nb + nr, "=="), np.zeros(nb + nr))
 
     def _copper_plate_x(self, buses, branches):
         """Optimal point of the component's LP in closed form, or None
@@ -231,7 +224,7 @@ class RecourseSolver:
         b (angle_head - angle_tail). If every flow is within its capacity
         and every angle within [-pi, pi] (the LP's own bounds, compared
         exactly), and every balance row holds within lp.FEAS_TOL (the
-        tolerance the simplex's answer is held to), the point is feasible
+        tolerance the LP solver's answer is held to), the point is feasible
         and attains the bound, so it is optimal. Columns are laid out as
         in _component_lp.
         """

@@ -2,9 +2,8 @@
 
 Oracles here recompute answers from first principles (exhaustive plan
 enumeration, LP vertex enumeration, big-M feasibility, one recourse LP
-over the whole grid, the per-row simplex ratio test, a simplex solving
-with its basis afresh at every step, one correlation match per pair,
-the scenario CSV written cell by cell) so that a bug in the library
+over the whole grid, one correlation match per pair, the scenario CSV
+written cell by cell) so that a bug in the library
 cannot hide behind shared code paths.
 """
 import csv
@@ -260,45 +259,45 @@ def lp_vertex_oracle(c, a_ub, b_ub, a_eq, b_eq, lower, upper, tol=1e-7):
     """Solve min c.x s.t. a_ub x <= b_ub, a_eq x = b_eq, bounds, by
     enumerating basic solutions of the (bounded) polytope.
 
-    Every constraint, bounds included, becomes a row t.x <= u; a vertex
-    solves n linearly independent tight rows, equalities always tight.
-    Requires finite bounds so the feasible set is bounded (then a
-    nonempty region always contains a vertex). Returns
-    (status, objective, vertices).
+    A vertex solves n linearly independent tight constraints, and each
+    variable gives at most one of them (its lower or its upper bound).
+    So every vertex is some choice of k basic variables, k rows (either
+    kind) tight on them with a nonsingular k x k block, and every other
+    variable at one of its bounds; each such choice is solved and kept
+    if it satisfies every row and bound within tol. Dependent or surplus
+    equalities need no special case. Requires finite bounds so the
+    feasible set is bounded (then a nonempty region always contains a
+    vertex). Returns (status, objective, vertices).
     """
     c = np.asarray(c, dtype=float)
     n = c.size
-    rows, rhs = [], []
-    for t, u in zip(a_ub, b_ub):
-        rows.append(np.asarray(t, dtype=float))
-        rhs.append(float(u))
-    eye = np.eye(n)
-    for j in range(n):
-        rows.append(eye[j])
-        rhs.append(float(upper[j]))
-        rows.append(-eye[j])
-        rhs.append(float(-lower[j]))
-    rows = np.asarray(rows)
-    rhs = np.asarray(rhs)
-    eq_rows = np.asarray([np.asarray(t, dtype=float) for t in a_eq]).reshape(len(a_eq), n)
-    eq_rhs = np.asarray([float(u) for u in b_eq])
-    need = n - len(a_eq)
-    assert need >= 0
-
-    picks = _combos(len(rows), need)
-    mats = np.broadcast_to(eq_rows, (len(picks), len(a_eq), n))
-    mats = np.concatenate([mats, rows[picks]], axis=1)
-    rvec = np.concatenate(
-        [np.broadcast_to(eq_rhs, (len(picks), len(a_eq))), rhs[picks]], axis=1)
-    dets = np.linalg.det(mats)
-    ok = np.abs(dets) > 1e-9
-    if not ok.any():
-        return "infeasible", None, np.empty((0, n))
-    xs = np.linalg.solve(mats[ok], rvec[ok][..., None])[..., 0]
-    feas = np.all(xs @ rows.T <= rhs + tol, axis=1)
-    if len(a_eq):
-        feas &= np.all(np.abs(xs @ eq_rows.T - eq_rhs) <= tol, axis=1)
-    verts = xs[feas]
+    a = np.asarray([*a_ub, *a_eq], dtype=float).reshape(-1, n)
+    b = np.asarray([*b_ub, *b_eq], dtype=float)
+    is_eq = np.arange(b.size) >= len(b_ub)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    corners = np.array(list(itertools.product((False, True), repeat=n)), dtype=bool)
+    found = []
+    for k in range(min(n, b.size) + 1):
+        basic, tight = _combos(n, k), _combos(b.size, k)
+        bas = np.repeat(basic, len(tight), axis=0)
+        rows = np.tile(tight, (len(basic), 1))
+        mats = a[rows[:, :, None], bas[:, None, :]]
+        ok = np.abs(np.linalg.det(mats)) > 1e-9
+        bas, rows, mats = bas[ok], rows[ok], mats[ok]
+        # One corner per bound choice of the nonbasic variables (a basic
+        # variable's bit must be 0, so each choice appears once).
+        pick, corner = np.nonzero(~corners[:, bas].any(axis=-1).T)
+        x = np.where(corners[corner], upper, lower)
+        np.put_along_axis(x, bas[pick], 0.0, axis=1)
+        rhs = b[rows[pick]] - np.einsum("pkn,pn->pk", a[rows[pick]], x)
+        np.put_along_axis(x, bas[pick], np.linalg.solve(mats[pick], rhs[..., None])[..., 0],
+                          axis=1)
+        resid = x @ a.T - b
+        feas = (np.all(x >= lower - tol, axis=1) & np.all(x <= upper + tol, axis=1)
+                & np.all(np.where(is_eq, np.abs(resid), resid) <= tol, axis=1))
+        found.append(x[feas])
+    verts = np.concatenate(found)
     if verts.shape[0] == 0:
         return "infeasible", None, verts
     return "optimal", float((verts @ c).min()), verts
@@ -416,8 +415,6 @@ def dict_row_component_lp(solver, buses, branches):
     ref = idx_a + int(np.argmin(g.bus_ids[buses]))
     lo[ref] = hi[ref] = 0.0
     prob = LpProblem.with_bounds(c, lo, hi)
-    prob.basis = ([prob.n_vars] + [k for k in range(idx_a, idx_e) if k != ref]
-                  + list(range(idx_e, idx_e + nr)))
     pos = {j: k for k, j in enumerate(buses.tolist())}
     heads = [pos[j] for j in g.head_idx[branches].tolist()]
     tails = [pos[j] for j in g.tail_idx[branches].tolist()]
@@ -491,57 +488,6 @@ def whole_pattern_shed(grid, z):
     sol = lp.solve_lp(prob)
     assert sol.status == lp.OPTIMAL, sol.status
     return float(grid.total_demand - sol.x[idx_s:idx_s + grid.n_buses].sum())
-
-
-class LoopRatioSimplex(lp._Simplex):
-    """The simplex with its ratio test written as one Python pass over
-    every basis row; counts the pivots its 1e-12 tie-break decides."""
-
-    ties = 0
-
-    def _ratio_test(self, e, direction):
-        w = self._ftran(self.A[:, e])
-        delta = direction * w
-        best_t = self.hi[e] - self.lo[e]
-        if not np.isfinite(best_t):
-            best_t = np.inf
-        leave = -1
-        hit_lower = False
-        xb = self.x[self.basis]
-        lob = self.lo[self.basis]
-        hib = self.hi[self.basis]
-        for i in range(self.m):
-            di = delta[i]
-            if di > lp._PIVOT_TOL:
-                if not np.isfinite(lob[i]):
-                    continue
-                limit = (xb[i] - lob[i]) / di
-                lower_side = True
-            elif di < -lp._PIVOT_TOL:
-                if not np.isfinite(hib[i]):
-                    continue
-                limit = (xb[i] - hib[i]) / di
-                lower_side = False
-            else:
-                continue
-            limit = max(limit, 0.0)
-            if limit < best_t - 1e-12:
-                best_t, leave, hit_lower = limit, i, lower_side
-            elif leave >= 0 and abs(limit - best_t) <= 1e-12 and self.basis[i] < self.basis[leave]:
-                leave, hit_lower = i, lower_side
-                self.ties += 1
-        return best_t, leave, hit_lower, w
-
-
-class FreshSolveSimplex(lp._Simplex):
-    """The simplex with every B^-1 product a fresh np.linalg.solve
-    against the current basis columns, in place of the kept inverse."""
-
-    def _ftran(self, a):
-        return np.linalg.solve(self.A[:, self.basis], a)
-
-    def _btran(self, c):
-        return np.linalg.solve(self.A[:, self.basis].T, c)
 
 
 def _per_pair_matching_function(marginal_i, marginal_j, degree):

@@ -435,6 +435,8 @@ class TestCliErrors:
         ("budget", "4", "plan 1: budget must be a finite number, got '4'"),
         ("budget", float("nan"), "plan 1: budget must be a finite number, got nan"),
         ("so_estimate", "0.5", "plan 1: so_estimate must be a finite number, got '0.5'"),
+        pytest.param("budget", 10 ** 400, "plan 1: budget must be a finite number, got 1000",
+                     id="budget-10**400"),
     ])
     def test_plan_fields_are_not_coerced(self, workdir, tmp_path, capsys, field, value,
                                          message):
@@ -491,6 +493,11 @@ class TestCliErrors:
          "fit_report.pairs.residual[2]: must be a finite number, got nan"),
         (("fit_report", "pairs", "clamped", 1), 1,
          "fit_report.pairs.clamped[1]: must be true or false, got 1"),
+        pytest.param(("chol", 1, 0), 10 ** 400, "chol must hold finite numbers, got 1000",
+                     id="chol-10**400"),
+        pytest.param(("fit_report", "pairs", "residual", 0), 10 ** 400,
+                     "fit_report.pairs.residual[0]: must be a finite number, got 1000",
+                     id="residual-10**400"),
     ])
     def test_model_ids_and_fit_report_are_not_coerced(self, workdir, tmp_path, capsys,
                                                       path, value, message):
@@ -572,6 +579,7 @@ class TestCliErrors:
         ("n_substations", "2.5"), ("gen_bus_fraction", '"x"'), ("demand_high", "1e400"),
         ("seed", "-1"), ("corr_length", "0"), ("gen_bus_fraction", "1.5"),
         ("n_flooded", "true"), ("topology", '["ring"]'),
+        pytest.param("demand_high", str(10 ** 400), id="demand_high-10**400"),
     ])
     def test_bad_instance_spec_field(self, tmp_path, capsys, field, token):
         spec = {k: v for k, v in SPEC.items() if k != field}
@@ -599,6 +607,7 @@ class TestCliErrors:
         ("branches", "head", 1.5),
         (None, "reference_bus", 0.5),
         ("buses", "demand", "7"),
+        pytest.param("buses", "demand", 10 ** 400, id="buses-demand-10**400"),
     ])
     def test_grid_fields_are_not_coerced(self, workdir, tmp_path, capsys, section, field,
                                          value):

@@ -18,6 +18,7 @@ import collections
 import csv
 import dataclasses
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -27,9 +28,9 @@ import numpy as np
 
 from . import __version__, lp, norta
 from .errors import NumericalError, ResourceLimitError, ValidationError
-from .grid import (_KINDS, BUDGET_SLACK, GridInstance, HardeningPlan, InstanceSpec, _field,
-                   _is_real, _read_json, generate_instance, load_grid, load_scenarios,
-                   save_grid, save_scenarios)
+from .grid import (_KINDS, BUDGET_SLACK, GridInstance, HardeningPlan, InstanceSpec,
+                   _check_unique_ids, _field, _is_real, _read_json, generate_instance,
+                   load_grid, load_scenarios, save_grid, save_scenarios)
 from .norta import FitReport, NortaModel, ScenarioSet, estimate_inputs
 from .stats import EmpiricalMarginal, emd, spread
 from .twostage import (STAT_ROWS, RecourseSolver, TwoStageProblem, budget_sweep,
@@ -53,11 +54,11 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _manifest(args, command, inputs, tolerances=None):
+def _manifest(command, inputs, tolerances=None, seed=None):
     return {
         "command": command,
         "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in inputs],
-        "seed": args.seed,
+        "seed": seed,
         "version": __version__,
         "tolerances": tolerances or {},
     }
@@ -188,16 +189,18 @@ def load_model(path) -> NortaModel:
         if m.shape != (n, n):
             raise ValidationError(
                 f"{path}: {name} has shape {m.shape}, expected ({n}, {n})")
-    if columns is not None and len(columns) != n:
-        raise ValidationError(f"{path}: columns do not match marginal count")
+    if columns is not None:
+        if len(columns) != n:
+            raise ValidationError(f"{path}: columns do not match marginal count")
+        _check_unique_ids(columns, f"{path}: columns")
     return NortaModel(marginals=marginals, sigma_x=sigma_x, sigma_z=sigma_z,
                       y=y, chol=chol, report=report, columns=columns)
 
 
 def load_plans(path, grid: GridInstance):
     """Plan-file entries as (budget, plan, so_estimate) tuples. Heights
-    must be JSON integers, `budget` and `so_estimate` finite numbers or
-    null; a value of another type is rejected, naming its plan."""
+    must be JSON integers >= 0, `budget` and `so_estimate` finite numbers
+    or null; any other value is rejected, naming its plan."""
     data = _read_json(path)
     entries = data.get("plans")
     if not isinstance(entries, list) or not entries:
@@ -212,7 +215,11 @@ def load_plans(path, grid: GridInstance):
                 key = str(sid)
                 if key not in hmap:
                     raise ValidationError(f"{where} is missing a height for substation {sid}")
-                heights.append(_field(hmap, key, int, f"{where} heights"))
+                h = _field(hmap, key, int, f"{where} heights")
+                if h < 0:
+                    raise ValidationError(f"{where} heights: {key} must be an integer >= 0, "
+                                          f"got {h}")
+                heights.append(h)
             budget, so = (None if entry.get(name) is None else _field(entry, name, float, where)
                           for name in ("budget", "so_estimate"))
         except (KeyError, TypeError) as exc:
@@ -279,12 +286,11 @@ def _emit_reports(args, reports, manifest):
 
 def cmd_fit(args):
     s = load_scenarios(args.scenarios)
-    model = norta.fit(s, degree=args.degree, match_tol=args.match_tol,
-                      bisect_max_iter=args.bisect_max_iter)
-    manifest = _manifest(args, "fit", [args.scenarios], tolerances={
-        "match_tol": args.match_tol,
-        "bisect_max_iter": args.bisect_max_iter,
-        "gh_degree": args.degree,
+    model = norta.fit(s)
+    manifest = _manifest("fit", [args.scenarios], tolerances={
+        "match_tol": norta.MATCH_TOL,
+        "bisect_max_iter": norta.BISECT_MAX_ITER,
+        "gh_degree": norta.GH_DEGREE,
         "psd_tol": norta.PSD_TOL,
     })
     payload = {
@@ -306,13 +312,13 @@ def cmd_fit(args):
 def cmd_generate(args):
     if args.count < 1:
         raise ValidationError("--count must be at least 1")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be an integer >= 0, got {args.seed}")
     model = load_model(args.model)
-    seed = args.seed if args.seed is not None else 0
-    s = norta.sample(model, args.count, seed)
+    s = norta.sample(model, args.count, args.seed)
     if s.columns is None:
         s = ScenarioSet(s.scenarios, s.probs, columns=tuple(range(s.dim)))
-    manifest = _manifest(args, "generate", [args.model])
-    manifest["seed"] = seed
+    manifest = _manifest("generate", [args.model], seed=args.seed)
     save_scenarios(s, args.out)
     _write_sidecar(args.out, manifest)
     _say(args, f"generate: {s.n_scenarios} x {s.dim} synthetic scenarios -> {args.out}")
@@ -334,7 +340,7 @@ def cmd_validate(args):
     emds = [emd(a, b) for a, b in zip(marg_o, marg_s)]
     i, j = np.triu_indices(orig.dim, 1)
     errs = np.abs(sig_o[i, j] - sig_s[i, j])
-    manifest = _manifest(args, "validate", [args.scenarios, args.synthetic])
+    manifest = _manifest("validate", [args.scenarios, args.synthetic])
     payload = {
         "format": "nortagrid-validation",
         "n_scenarios": orig.n_scenarios,
@@ -357,21 +363,19 @@ def cmd_validate(args):
 
 
 def _parse_budgets(args, grid):
-    if getattr(args, "budgets", None) is not None:
+    if args.budgets is None:
+        budgets = [grid.budget]
+    else:
         try:
             budgets = [float(tok) for tok in args.budgets.split(",") if tok.strip()]
         except ValueError as exc:
             raise ValidationError(f"bad --budgets list: {exc}") from exc
         if not budgets:
             raise ValidationError("--budgets must name at least one budget")
-    elif getattr(args, "budget", None) is not None:
-        budgets = [float(args.budget)]
-    else:
-        budgets = [grid.budget]
-    flag = "--budgets" if getattr(args, "budgets", None) is not None else "--budget"
     for b in budgets:
         if not 0 <= b < math.inf:  # also rejects nan
-            raise ValidationError(f"{flag}: each budget must be a finite number >= 0, got {b!r}")
+            raise ValidationError(f"--budgets: each budget must be a finite number >= 0, "
+                                  f"got {b!r}")
     return budgets
 
 
@@ -411,7 +415,7 @@ def cmd_solve(args):
         })
         _say(args, f"solve: budget {b:g} -> SO estimate {so:.6g}, "
                    f"plan cost {entries[-1]['cost']:g}")
-    manifest = _manifest(args, "solve", [args.grid, args.scenarios], tolerances={
+    manifest = _manifest("solve", [args.grid, args.scenarios], tolerances={
         "lp_feas_tol": lp.FEAS_TOL, "lp_opt_tol": lp.OPT_TOL, "budget_slack": BUDGET_SLACK,
     })
     manifest["work"] = _work(solver, exact=args.method == "exact")
@@ -433,7 +437,7 @@ def cmd_evaluate(args):
     reports = [dataclasses.replace(evaluate_oos(problem, plan, synth, solver=solver),
                                    budget=budget, so_estimate=so)
                for budget, plan, so in load_plans(args.plan, grid)]
-    manifest = _manifest(args, "evaluate", [args.grid, args.plan, args.synthetic],
+    manifest = _manifest("evaluate", [args.grid, args.plan, args.synthetic],
                          tolerances={"lp_feas_tol": lp.FEAS_TOL, "lp_opt_tol": lp.OPT_TOL})
     manifest["work"] = _work(solver)
     _emit_reports(args, reports, manifest)
@@ -447,7 +451,7 @@ def cmd_sweep(args):
     for rep in reports:
         _say(args, f"sweep: budget {rep.budget:g} -> SO {rep.so_estimate:.6g}, "
                    f"OOS mean {rep.mean:.6g}")
-    manifest = _manifest(args, "sweep",
+    manifest = _manifest("sweep",
                          [args.grid, args.scenarios, args.synthetic],
                          tolerances={"lp_feas_tol": lp.FEAS_TOL, "lp_opt_tol": lp.OPT_TOL,
                                      "budget_slack": BUDGET_SLACK})
@@ -461,8 +465,7 @@ def cmd_make_instance(args):
         spec = dataclasses.replace(spec, seed=args.seed)
     grid, scen = generate_instance(spec)
     grid_path, scen_path = args.out
-    manifest = _manifest(args, "make-instance", [args.spec])
-    manifest["seed"] = spec.seed
+    manifest = _manifest("make-instance", [args.spec], seed=spec.seed)
     save_grid(grid, grid_path, extra={"manifest": manifest})
     _write_sidecar(grid_path, manifest)
     save_scenarios(scen, scen_path)
@@ -478,8 +481,6 @@ def cmd_make_instance(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for any randomized step (default: command-specific)")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     p = argparse.ArgumentParser(
@@ -487,49 +488,40 @@ def build_parser():
         description="Correlated flood-scenario generation and two-stage "
                     "grid-hardening optimization.")
     sub = p.add_subparsers(dest="command", required=True)
+    # No abbreviations: each option has one spelling, and a removed option
+    # (`--budget`) cannot come back as a prefix of a kept one.
+    command = functools.partial(sub.add_parser, parents=[common], allow_abbrev=False)
 
-    f = sub.add_parser("fit", parents=[common],
-                       help="fit a scenario-generation model to a scenario CSV")
+    f = command("fit", help="fit a scenario-generation model to a scenario CSV")
     f.add_argument("scenarios", help="training scenario CSV")
     f.add_argument("--out", required=True, help="output model JSON")
-    f.add_argument("--degree", type=int, default=64,
-                   help="Gauss-Hermite degree per axis (default 64)")
-    f.add_argument("--match-tol", type=float, default=1e-4,
-                   help="correlation-matching tolerance (default 1e-4)")
-    f.add_argument("--bisect-max-iter", type=int, default=200)
     f.set_defaults(func=cmd_fit)
 
-    g = sub.add_parser("generate", parents=[common],
-                       help="sample synthetic scenarios from a fitted model")
+    g = command("generate", help="sample synthetic scenarios from a fitted model")
     g.add_argument("model", help="model JSON from `fit`")
     g.add_argument("--count", type=int, default=800,
                    help="number of synthetic scenarios (default 800)")
+    g.add_argument("--seed", type=int, default=0, help="seed of the draws (default 0)")
     g.add_argument("--out", required=True, help="output scenario CSV")
     g.set_defaults(func=cmd_generate)
 
-    v = sub.add_parser("validate", parents=[common],
-                       help="compare synthetic scenarios against the originals")
+    v = command("validate", help="compare synthetic scenarios against the originals")
     v.add_argument("scenarios", help="original scenario CSV")
     v.add_argument("synthetic", help="synthetic scenario CSV")
     v.add_argument("--out", required=True, help="output validation JSON")
     v.set_defaults(func=cmd_validate)
 
-    s = sub.add_parser("solve", parents=[common],
-                       help="optimize hardening heights under a budget")
+    s = command("solve", help="optimize hardening heights under a budget")
     s.add_argument("grid", help="grid JSON")
     s.add_argument("scenarios", help="training scenario CSV")
-    group = s.add_mutually_exclusive_group()
-    group.add_argument("--budget", type=float, default=None,
-                       help="single budget (default: the grid's budget)")
-    group.add_argument("--budgets", default=None,
-                       help="comma-separated budget list")
+    s.add_argument("--budgets", default=None,
+                   help="comma-separated budget list (default: the grid's budget)")
     s.add_argument("--method", choices=("exact", "greedy"), default="exact")
     s.add_argument("--node-budget", type=int, default=10 ** 6)
     s.add_argument("--out", required=True, help="output plan JSON")
     s.set_defaults(func=cmd_solve)
 
-    e = sub.add_parser("evaluate", parents=[common],
-                       help="evaluate saved plans on out-of-sample scenarios")
+    e = command("evaluate", help="evaluate saved plans on out-of-sample scenarios")
     e.add_argument("grid", help="grid JSON")
     e.add_argument("plan", help="plan JSON from `solve`")
     e.add_argument("synthetic", help="out-of-sample scenario CSV")
@@ -537,8 +529,7 @@ def build_parser():
                    help="report path(s); .json and/or .csv")
     e.set_defaults(func=cmd_evaluate)
 
-    w = sub.add_parser("sweep", parents=[common],
-                       help="solve and evaluate across a list of budgets")
+    w = command("sweep", help="solve and evaluate across a list of budgets")
     w.add_argument("grid", help="grid JSON")
     w.add_argument("scenarios", help="training scenario CSV")
     w.add_argument("synthetic", help="out-of-sample scenario CSV")
@@ -548,9 +539,10 @@ def build_parser():
                    help="report path(s); .json and/or .csv")
     w.set_defaults(func=cmd_sweep)
 
-    m = sub.add_parser("make-instance", parents=[common],
-                       help="generate a synthetic grid and flood scenarios")
+    m = command("make-instance", help="generate a synthetic grid and flood scenarios")
     m.add_argument("--spec", required=True, help="instance-spec JSON")
+    m.add_argument("--seed", type=int, default=None,
+                   help="seed in place of the spec's own")
     m.add_argument("--out", required=True, nargs=2,
                    metavar=("GRID", "SCENARIOS"),
                    help="output grid JSON and scenario CSV")

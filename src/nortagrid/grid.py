@@ -215,6 +215,16 @@ _KINDS = {int: (_is_int, "an integer"), float: (_is_real, "a finite number"),
           bool: (lambda v: isinstance(v, bool), "true or false")}
 
 
+def _check_unique_ids(ids, where):
+    """Reject a substation id that names two columns (1-based)."""
+    first = {}
+    for k, sid in enumerate(ids, start=1):
+        if sid in first:
+            raise ValidationError(
+                f"{where}: substation id {sid} repeats (columns {first[sid]} and {k})")
+        first[sid] = k
+
+
 def _field(entry, key, kind, where):
     """entry[key] as kind (int, float or bool), if its value is one."""
     ok, what = _KINDS[kind]
@@ -567,6 +577,7 @@ def load_scenarios(path) -> ScenarioSet:
         columns = tuple(int(c) for c in id_cells)
     except ValueError as exc:
         raise ValidationError(f"{path}: header must hold integer substation ids: {exc}") from exc
+    _check_unique_ids(columns, f"{path} line 1")
     n = len(columns)
     body = [r for r in rows[1:] if r]
     if not body:
@@ -594,6 +605,9 @@ def load_scenarios(path) -> ScenarioSet:
             except ValueError as exc:
                 raise ValidationError(
                     f"{path} line {i + 2}: cannot parse probability {row[n]!r}") from exc
+            if not 0 <= probs[i] < math.inf:  # also rejects nan
+                raise ValidationError(f"{path} line {i + 2}: probability must be a finite "
+                                      f"number >= 0, got {row[n]!r}")
     k = heights.shape[0]
     if probs is None:
         probs = np.full(k, 1.0 / k)

@@ -67,6 +67,13 @@ __all__ = [
     "solve_rho_z",
 ]
 
+# The correlation matching's fixed settings, read at call time by fit,
+# c_of_rho and solve_rho_z, and recorded in the fit manifest's
+# `tolerances`: Gauss-Hermite degree per axis, the bisection's
+# tolerance on |c(rho_z) - rho_x|, and its steps per pair.
+GH_DEGREE = 64
+MATCH_TOL = 1e-4
+BISECT_MAX_ITER = 200
 # nearest_correlation stops once a sweep moves the matrix by at most
 # PSD_TOL (Frobenius), or after _PSD_MAX_ITER sweeps.
 PSD_TOL = 1e-9
@@ -585,7 +592,7 @@ def _match_pairs(matcher, i, j, targets, tol, max_iter):
     return rho, residual, clamped, (rho_evals, pair_evals, settled_evals)
 
 
-def c_of_rho(marginal_i, marginal_j, rho_z, degree=64):
+def c_of_rho(marginal_i, marginal_j, rho_z):
     """Correlation of the transformed pair induced by base correlation rho_z.
 
     Evaluates corr(Fi^{-1}(Phi(Z1)), Fj^{-1}(Phi(Z2))) for a standard
@@ -599,25 +606,23 @@ def c_of_rho(marginal_i, marginal_j, rho_z, degree=64):
     axis sums the quadrature weight per sample first; the result agrees
     with the generic path to rounding (within 1e-12 in the tests).
     Returns 0.0 for a degenerate marginal. This is the evaluator fit and
-    solve_rho_z use, with a batch of one pair.
+    solve_rho_z use, with a batch of one pair, at degree GH_DEGREE.
     """
-    _check_fit_options(degree=degree)
     rho = float(rho_z)
     if not -1.0 <= rho <= 1.0:
         raise ValidationError("rho_z must lie in [-1, 1]")
-    return float(_Matcher([marginal_i, marginal_j], degree).c(np.array([rho]), _I, _J)[0])
+    return float(_Matcher([marginal_i, marginal_j], GH_DEGREE).c(np.array([rho]), _I, _J)[0])
 
 
-def solve_rho_z(marginal_i, marginal_j, rho_x_target, *, tol=1e-4,
-                max_iter=200, degree=64):
+def solve_rho_z(marginal_i, marginal_j, rho_x_target):
     """Invert the correlation-matching function by bisection.
 
     c is nondecreasing in rho_z, so bisection on [-1+1e-6, 1-1e-6] is
-    safe. Targets outside the attainable range clamp to the nearer
-    endpoint (clamped=True). Discrete marginals make c step-like, so
-    after max_iter the midpoint of the final bracket is returned with
-    its residual rather than failing. tol must be finite and >= 0,
-    max_iter and degree integers >= 1.
+    safe. A pair is done once |c - target| <= MATCH_TOL. Targets outside
+    the attainable range clamp to the nearer endpoint (clamped=True).
+    Discrete marginals make c step-like, so after BISECT_MAX_ITER steps
+    the midpoint of the final bracket is returned with its residual
+    rather than failing.
 
     This is fit's bisection with one pair. fit bisects all pairs
     together in array rounds; pairs that ask for the same rho_z in a
@@ -628,12 +633,11 @@ def solve_rho_z(marginal_i, marginal_j, rho_x_target, *, tol=1e-4,
     value the one the quadrature would give. Each pair sees the same
     sequence of c values, bit for bit, either way.
     """
-    _check_fit_options(degree=degree, tol=tol, max_iter=max_iter)
     target = float(rho_x_target)
     if not -1.0 <= target <= 1.0:
         raise ValidationError("target correlation must lie in [-1, 1]")
-    rho, residual, clamped, _ = _match_pairs(_Matcher([marginal_i, marginal_j], degree),
-                                             _I, _J, [target], tol, max_iter)
+    rho, residual, clamped, _ = _match_pairs(_Matcher([marginal_i, marginal_j], GH_DEGREE),
+                                             _I, _J, [target], MATCH_TOL, BISECT_MAX_ITER)
     return RhoMatch(float(rho[0]), float(residual[0]), bool(clamped[0]))
 
 
@@ -690,40 +694,17 @@ def _cholesky_with_jitter(y):
     raise NumericalError("correlation matrix is not factorable even with jitter")
 
 
-def _check_fit_options(**options):
-    """Reject a tolerance (a keyword ending in ``tol``) that is negative
-    or not finite, and any other option that is not an integer >= 1,
-    naming the keyword."""
-    for name, value in options.items():
-        if name.endswith("tol"):
-            if not 0.0 <= value < math.inf:  # also rejects nan
-                raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
-        elif not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-def fit(s: ScenarioSet, *, degree=64, match_tol=1e-4, bisect_max_iter=200) -> NortaModel:
-    """Fit a NORTA model to an observed scenario set.
-
-    Parameters
-    ----------
-    s : ScenarioSet
-        K scenarios by n dimensions, K >= 2.
-    degree : int
-        Gauss-Hermite degree per axis for the matching quadrature (>= 1).
-    match_tol : float
-        Bisection tolerance on |c(rho_z) - rho_x| (finite, >= 0).
-    bisect_max_iter : int
-        Bisection steps per pair (>= 1).
-    """
-    _check_fit_options(degree=degree, match_tol=match_tol, bisect_max_iter=bisect_max_iter)
+def fit(s: ScenarioSet) -> NortaModel:
+    """Fit a NORTA model to an observed scenario set of K >= 2 scenarios
+    by n dimensions. The matching runs at GH_DEGREE, MATCH_TOL and
+    BISECT_MAX_ITER (see solve_rho_z)."""
     marginals, sigma_x = estimate_inputs(s)
     n = len(marginals)
     i, j = np.triu_indices(n, k=1)
     targets = sigma_x[i, j]
-    matcher = _Matcher(marginals, degree)
-    rho, residual, clamped, work = _match_pairs(matcher, i, j, targets, match_tol,
-                                                bisect_max_iter)
+    matcher = _Matcher(marginals, GH_DEGREE)
+    rho, residual, clamped, work = _match_pairs(matcher, i, j, targets, MATCH_TOL,
+                                                BISECT_MAX_ITER)
     sigma_z = np.eye(n)
     sigma_z[i, j] = sigma_z[j, i] = rho
     y = nearest_correlation(sigma_z)

@@ -2,6 +2,7 @@
 
 Exit codes: 0 ok, 2 validation, 3 numerical, 4 resource limit.
 """
+import argparse
 import json
 import re
 
@@ -73,8 +74,17 @@ class TestPipelineArtifacts:
         assert man["command"] == "fit"
         assert len(man["inputs"]) == 1
         assert len(man["inputs"][0]["sha256"]) == 64
-        assert set(man["tolerances"]) == {"match_tol", "bisect_max_iter",
-                                          "gh_degree", "psd_tol"}
+        assert man["tolerances"] == {"match_tol": 1e-4, "bisect_max_iter": 200,
+                                     "gh_degree": 64, "psd_tol": 1e-9}
+
+    def test_only_the_drawing_commands_record_a_seed(self, workdir):
+        seeds = {name: json.loads((workdir / name).read_text())["manifest"]["seed"]
+                 for name in ("grid.json", "model.json", "val.json", "plans.json",
+                              "report.json", "sweep.json")}
+        seeds["synth.csv"] = json.loads((workdir / "synth.csv.manifest.json").read_text())["seed"]
+        assert seeds == {"grid.json": SPEC["seed"], "synth.csv": 0, "model.json": None,
+                         "val.json": None, "plans.json": None, "report.json": None,
+                         "sweep.json": None}
 
     def test_every_artifact_has_a_sidecar(self, workdir):
         for name in ("grid.json", "scen.csv", "model.json", "synth.csv",
@@ -215,6 +225,13 @@ class TestCliErrors:
         assert run("generate", workdir / "model.json", "--count", 0,
                    "--out", tmp_path / "s.csv") == 2
 
+    def test_generate_seed_must_be_non_negative(self, workdir, tmp_path, capsys):
+        # numpy's generator used to raise ValueError: exit 1 and a traceback.
+        out = tmp_path / "s.csv"
+        assert run("generate", workdir / "model.json", "--seed", -1, "--out", out) == 2
+        assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_validate_dimension_mismatch(self, workdir, tmp_path):
         p = tmp_path / "narrow.csv"
         p.write_text("0\n1\n2\n")
@@ -223,11 +240,11 @@ class TestCliErrors:
 
     def test_negative_budget(self, workdir, tmp_path):
         assert run("solve", workdir / "grid.json", workdir / "scen.csv",
-                   "--budget", -3, "--out", tmp_path / "p.json") == 2
+                   "--budgets", -3, "--out", tmp_path / "p.json") == 2
 
     @pytest.mark.parametrize("verb, flags", [
         ("solve", ("--budgets", "nan")),
-        ("solve", ("--budget", "inf")),
+        ("solve", ("--budgets", "inf")),
         ("solve", ("--method", "greedy", "--budgets", "2,nan")),
         ("sweep", ("--budgets", "1,-inf")),
     ])
@@ -304,7 +321,7 @@ class TestCliErrors:
         # greedy takes no node budget, and used to exit 0 and write plans.
         out = tmp_path / "p.json"
         assert run("solve", workdir / "grid.json", workdir / "scen.csv", "--method", method,
-                   "--budget", 4, "--node-budget", value, "--out", out) == 2
+                   "--budgets", 4, "--node-budget", value, "--out", out) == 2
         assert "--node-budget" in capsys.readouterr().err
         assert not out.exists()
 
@@ -320,7 +337,7 @@ class TestCliErrors:
 
     def test_node_budget_exhaustion(self, workdir, tmp_path, capsys):
         code = run("solve", workdir / "grid.json", workdir / "scen.csv",
-                   "--budget", 4, "--node-budget", 1,
+                   "--budgets", 4, "--node-budget", 1,
                    "--out", tmp_path / "p.json")
         assert code == 4
         err = capsys.readouterr().err
@@ -329,10 +346,10 @@ class TestCliErrors:
     def test_node_budget_exhaustion_reports_the_incumbent(self, workdir, tmp_path, capsys):
         done = tmp_path / "p.json"
         assert run("solve", workdir / "grid.json", workdir / "scen.csv",
-                   "--budget", 4, "--out", done, "--quiet") == 0
+                   "--budgets", 4, "--out", done, "--quiet") == 0
         nodes = json.loads(done.read_text())["manifest"]["work"]["bb_nodes"]
         code = run("solve", workdir / "grid.json", workdir / "scen.csv",
-                   "--budget", 4, "--node-budget", nodes - 1,
+                   "--budgets", 4, "--node-budget", nodes - 1,
                    "--out", tmp_path / "q.json")
         assert code == 4
         assert not (tmp_path / "q.json").exists()
@@ -407,15 +424,28 @@ class TestCliErrors:
         assert code == 3
         assert "synthetic blow-up" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value, field", [
-        ("--degree", 0, "degree"), ("--degree", -2, "degree"),
-        ("--match-tol", -1, "match_tol"), ("--match-tol", "nan", "match_tol"),
-        ("--bisect-max-iter", 0, "bisect_max_iter"),
-    ])
-    def test_bad_fit_options(self, workdir, tmp_path, capsys, flag, value, field):
-        out = tmp_path / "m.json"
-        assert run("fit", workdir / "scen.csv", flag, value, "--out", out) == 2
-        assert field in capsys.readouterr().err
+    @pytest.mark.parametrize("verb, inputs, flags", [
+        ("fit", ("scen.csv",), ("--degree", 0)),
+        ("fit", ("scen.csv",), ("--degree", -2)),
+        ("fit", ("scen.csv",), ("--match-tol", -1)),
+        ("fit", ("scen.csv",), ("--match-tol", "nan")),
+        ("fit", ("scen.csv",), ("--bisect-max-iter", 50)),
+        ("fit", ("scen.csv",), ("--seed", 1)),
+        ("validate", ("scen.csv", "synth.csv"), ("--seed", 1)),
+        ("solve", ("grid.json", "scen.csv"), ("--seed", 1)),
+        ("solve", ("grid.json", "scen.csv"), ("--budget", 4)),
+        ("evaluate", ("grid.json", "plans.json", "synth.csv"), ("--seed", 1)),
+        ("sweep", ("grid.json", "scen.csv", "synth.csv"), ("--budgets", 4, "--seed", 1)),
+    ], ids=["fit-degree-0", "fit-degree--2", "fit-match-tol--1", "fit-match-tol-nan",
+            "fit-bisect-max-iter", "fit-seed", "validate-seed",
+            "solve-seed", "solve-budget", "evaluate-seed", "sweep-seed"])
+    def test_removed_options_are_unrecognized(self, workdir, tmp_path, capsys, verb, inputs,
+                                              flags):
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            run(verb, *(workdir / name for name in inputs), *flags, "--out", out)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
     def test_report_extension_checked(self, workdir, tmp_path):
@@ -432,6 +462,7 @@ class TestCliErrors:
         ("heights", 2.5, "plan 1 heights: 0 must be an integer, got 2.5"),
         ("heights", "1", "plan 1 heights: 0 must be an integer, got '1'"),
         ("heights", True, "plan 1 heights: 0 must be an integer, got True"),
+        ("heights", -1, "plan 1 heights: 0 must be an integer >= 0, got -1"),
         ("budget", "4", "plan 1: budget must be a finite number, got '4'"),
         ("budget", float("nan"), "plan 1: budget must be a finite number, got nan"),
         ("so_estimate", "0.5", "plan 1: so_estimate must be a finite number, got '0.5'"),
@@ -498,6 +529,7 @@ class TestCliErrors:
         pytest.param(("fit_report", "pairs", "residual", 0), 10 ** 400,
                      "fit_report.pairs.residual[0]: must be a finite number, got 1000",
                      id="residual-10**400"),
+        (("columns", 2), 0, "columns: substation id 0 repeats (columns 1 and 3)"),
     ])
     def test_model_ids_and_fit_report_are_not_coerced(self, workdir, tmp_path, capsys,
                                                       path, value, message):
@@ -599,6 +631,25 @@ class TestCliErrors:
         assert "line 3, column 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["fit", "validate"])
+    def test_repeated_substation_id_in_the_header(self, tmp_path, capsys, verb):
+        p = tmp_path / "scen.csv"
+        p.write_text("1,1\n0,2\n3,1\n")
+        out = tmp_path / "out.json"
+        assert run(verb, *[p] * (1 if verb == "fit" else 2), "--out", out) == 2
+        assert f"{p} line 1: substation id 1 repeats (columns 1 and 2)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "-0.5", "inf"])
+    def test_bad_probability_cell(self, tmp_path, capsys, cell):
+        p = tmp_path / "scen.csv"
+        p.write_text(f"0,1,#prob\n1,2,{cell}\n3,0,0.5\n")
+        out = tmp_path / "m.json"
+        assert run("fit", p, "--out", out) == 2
+        assert (f"{p} line 2: probability must be a finite number >= 0, got '{cell}'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("section, field, value", [
         ("substations", "flooded_flag", "false"),
         ("substations", "max_height", 2.5),
@@ -664,7 +715,7 @@ class TestCliBehaviour:
     def test_solve_greedy_method(self, workdir, tmp_path):
         out = tmp_path / "greedy.json"
         assert run("solve", workdir / "grid.json", workdir / "scen.csv",
-                   "--budget", 4, "--method", "greedy", "--out", out,
+                   "--budgets", 4, "--method", "greedy", "--out", out,
                    "--quiet") == 0
         data = json.loads(out.read_text())
         assert data["method"] == "greedy"
@@ -681,11 +732,30 @@ class TestCliBehaviour:
     def test_parser_defaults(self):
         p = cli.build_parser()
         g = p.parse_args(["generate", "m.json", "--out", "s.csv"])
-        assert g.count == 800 and g.seed is None
-        f = p.parse_args(["fit", "s.csv", "--out", "m.json"])
-        assert f.degree == 64 and f.match_tol == 1e-4 and f.bisect_max_iter == 200
+        assert g.count == 800 and g.seed == 0
+        m = p.parse_args(["make-instance", "--spec", "x.json", "--out", "g.json", "s.csv"])
+        assert m.seed is None  # the spec's own seed
         s = p.parse_args(["solve", "g.json", "s.csv", "--out", "p.json"])
-        assert s.node_budget == 10 ** 6 and s.method == "exact"
+        assert s.node_budget == 10 ** 6 and s.method == "exact" and s.budgets is None
+
+    def test_option_set(self):
+        # Every option a user can set, besides -h, --out and --spec: the
+        # fit's settings are norta's constants, and only the commands that
+        # draw take a seed.
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {name: {o for a in parser._actions for o in a.option_strings} -
+                   {"-h", "--help", "--out", "--spec"}
+                   for name, parser in sub.choices.items()}
+        assert options == {
+            "fit": {"--quiet"},
+            "generate": {"--seed", "--quiet", "--count"},
+            "validate": {"--quiet"},
+            "solve": {"--quiet", "--budgets", "--method", "--node-budget"},
+            "evaluate": {"--quiet"},
+            "sweep": {"--quiet", "--budgets", "--node-budget"},
+            "make-instance": {"--seed", "--quiet"},
+        }
 
     def test_fit_rerun_writes_the_same_model(self, workdir, monkeypatch):
         # A refit through a relative path: everything but the manifest's

@@ -28,10 +28,10 @@ import numpy as np
 
 from . import __version__, lp, norta
 from .errors import NumericalError, ResourceLimitError, ValidationError
-from .grid import (_KINDS, BUDGET_SLACK, GridInstance, HardeningPlan, InstanceSpec,
-                   _check_unique_ids, _field, _is_real, _read_json, generate_instance,
-                   load_grid, load_scenarios, save_grid, save_scenarios)
-from .norta import FitReport, NortaModel, ScenarioSet, estimate_inputs
+from .grid import (_KINDS, BUDGET_SLACK, GridInstance, HardeningPlan, InstanceSpec, _field,
+                   _is_real, _read_json, generate_instance, load_grid, load_scenarios,
+                   save_grid, save_scenarios)
+from .norta import FitReport, NortaModel, ScenarioSet, _check_unique_ids, estimate_inputs
 from .stats import EmpiricalMarginal, emd, spread
 from .twostage import (STAT_ROWS, RecourseSolver, TwoStageProblem, budget_sweep,
                        evaluate_oos, greedy_first_stage, solve_budgets, solve_first_stage)

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .norta import ScenarioSet
+from .norta import ScenarioSet, _check_unique_ids
 
 __all__ = [
     "Branch",
@@ -215,16 +215,6 @@ _KINDS = {int: (_is_int, "an integer"), float: (_is_real, "a finite number"),
           bool: (lambda v: isinstance(v, bool), "true or false")}
 
 
-def _check_unique_ids(ids, where):
-    """Reject a substation id that names two columns (1-based)."""
-    first = {}
-    for k, sid in enumerate(ids, start=1):
-        if sid in first:
-            raise ValidationError(
-                f"{where}: substation id {sid} repeats (columns {first[sid]} and {k})")
-        first[sid] = k
-
-
 def _field(entry, key, kind, where):
     """entry[key] as kind (int, float or bool), if its value is one."""
     ok, what = _KINDS[kind]
@@ -318,19 +308,22 @@ def _survival(grid: GridInstance, heights, deltas):
 
 
 def _components(grid: GridInstance, z):
-    """Connected components of the operational subgraph, in order of
-    their lowest bus index: (bus indices, branch indices) per component,
-    each ascending. A live bus without live branches is a component of
-    its own.
+    """Connected components of the operational subgraphs of a batch of
+    bus-survival rows z (P x n_buses), ordered by (row, lowest bus
+    index): (rows, buses, branches), the row of each component and the
+    list of its bus indices and of its branch indices, each ascending.
+    A live bus without live branches is a component of its own.
 
-    Every bus is labeled with the lowest bus index of its component:
-    each pass lowers both ends of every live branch to the smaller of
-    their labels and then lets every bus take its label's label, until
-    no label moves."""
+    One labeling covers the whole batch: bus b of row p is node
+    p * n_buses + b, and every node is labeled with the lowest node of
+    its component: each pass lowers both ends of every live branch to
+    the smaller of their labels and then lets every node take its
+    label's label, until no label moves."""
     z = np.asarray(z, dtype=bool)
-    on = np.flatnonzero(z[grid.head_idx] & z[grid.tail_idx])
-    heads, tails = grid.head_idx[on], grid.tail_idx[on]
-    label = np.arange(grid.n_buses)
+    nb = grid.n_buses
+    row, on = np.nonzero(z[:, grid.head_idx] & z[:, grid.tail_idx])
+    heads, tails = row * nb + grid.head_idx[on], row * nb + grid.tail_idx[on]
+    label = np.arange(z.size)
     while True:
         low = np.minimum(label[heads], label[tails])
         new = label.copy()
@@ -340,12 +333,12 @@ def _components(grid: GridInstance, z):
         if np.array_equal(new, label):
             break
         label = new
-    buses = np.flatnonzero(z)
-    buses = buses[np.argsort(label[buses], kind="stable")]
-    roots, first = np.unique(label[buses], return_index=True)
-    branches = on[np.argsort(label[heads], kind="stable")]
-    cuts = np.searchsorted(label[grid.head_idx[branches]], roots)
-    return list(zip(np.split(buses, first)[1:], np.split(branches, cuts)[1:]))
+    nodes = np.flatnonzero(z)
+    nodes = nodes[np.argsort(label[nodes], kind="stable")]
+    roots, first = np.unique(label[nodes], return_index=True)
+    by = np.argsort(label[heads], kind="stable")
+    cuts = np.searchsorted(label[heads[by]], roots)
+    return roots // nb, np.split(nodes % nb, first)[1:], np.split(on[by], cuts)[1:]
 
 
 # ----------------------------------------------------------------------

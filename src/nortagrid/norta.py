@@ -45,13 +45,11 @@ from numpy.polynomial.hermite import hermgauss
 
 from .errors import NumericalError, ValidationError
 from .stats import (
-    ConstantVectorError,
     EmpiricalMarginal,
     check_correlation_matrix,
     normal_cdf,
     normal_quantile,
     normal_score_thresholds,
-    pearson_corr,
 )
 
 __all__ = [
@@ -126,6 +124,7 @@ class ScenarioSet:
         object.__setattr__(self, "probs", probs)
         if self.columns is not None:
             object.__setattr__(self, "columns", tuple(self.columns))
+            _check_unique_ids(self.columns, "scenario columns")
 
     @classmethod
     def with_uniform_probs(cls, scenarios, columns=None):
@@ -151,6 +150,16 @@ class ScenarioSet:
         if not np.allclose(scen, np.round(scen), rtol=0.0, atol=1e-9):
             raise ValidationError("flood heights must be integer-valued")
         return self
+
+
+def _check_unique_ids(ids, where):
+    """Reject a substation id that names two columns (1-based)."""
+    first = {}
+    for k, sid in enumerate(ids, start=1):
+        if sid in first:
+            raise ValidationError(
+                f"{where}: substation id {sid} repeats (columns {first[sid]} and {k})")
+        first[sid] = k
 
 
 class RhoMatch(NamedTuple):
@@ -220,18 +229,25 @@ def estimate_inputs(s: ScenarioSet):
 
     A constant column has undefined correlations; its off-diagonal
     entries fall back to 0 (independence) so fitting can proceed.
+
+    Each column is centered and its sum of squares taken once; each
+    pair is then one dot product of centered columns, the same float
+    operations as stats.pearson_corr on that pair, clamp included.
     """
     if s.n_scenarios < 2:
         raise ValidationError("need at least 2 scenarios to estimate correlations")
     n = s.dim
     marginals = [EmpiricalMarginal(s.scenarios[:, j]) for j in range(n)]
+    centered = [c - c.mean() for c in (np.ascontiguousarray(col) for col in s.scenarios.T)]
+    squares = [float(d @ d) for d in centered]
     sigma = np.eye(n)
     for i in range(n):
         for j in range(i + 1, n):
-            try:
-                r = pearson_corr(s.scenarios[:, i], s.scenarios[:, j])
-            except ConstantVectorError:
+            if squares[i] == 0.0 or squares[j] == 0.0:
                 r = 0.0
+            else:
+                r = float(centered[i] @ centered[j]) / math.sqrt(squares[i] * squares[j])
+                r = min(1.0, max(-1.0, r))
             sigma[i, j] = sigma[j, i] = r
     return marginals, sigma
 

@@ -11,7 +11,8 @@ scenario, split into one LP per energized component, and survival
 patterns and components can be cached and shared across every
 evaluation path (SAA, branch-and-bound bounds, out-of-sample sweeps).
 Every path scores a whole batch of height vectors against all scenarios
-with one lookup in a sorted table of survival patterns.
+with one lookup in a sorted table of survival patterns, and solves the
+batch's new patterns together: one component labeling covers them all.
 
 Most components never reach the LP solver: the proportional copper-plate
 dispatch, which serves min(total demand, total generation), is checked
@@ -149,7 +150,8 @@ class RecourseSolver:
     substations survive, so one grid needs at most 2^|flooded| distinct
     patterns no matter how many (plan, scenario) pairs are evaluated.
     Their sheds live in one table, sorted by _survival_key, that `sheds`
-    searches a whole batch at a time.
+    searches a whole batch at a time; the batch's new patterns are
+    labeled into components in one pass (grid._components).
     The connected components of a pattern's operational network share
     no constraint (every balance row, flow row and angle reference stays
     inside one), so each is solved on its own, cached by its bus mask
@@ -252,12 +254,10 @@ class RecourseSolver:
             return np.concatenate([s, gen, theta, e])
         return None
 
-    def _component_x(self, buses, branches):
-        """Optimal point of one energized component, cached by its bus
-        mask: the copper-plate point where it is certified, else the LP's."""
-        mask = np.zeros(self.grid.n_buses, dtype=bool)
-        mask[buses] = True
-        key = np.packbits(mask).tobytes()
+    def _component_x(self, key, buses, branches):
+        """Optimal point of one energized component, cached under key, its
+        packed bus mask: the copper-plate point where it is certified,
+        else the LP's."""
         x = self._component_cache.get(key)
         if x is None:
             x = self._copper_plate_x(buses, branches)
@@ -275,38 +275,62 @@ class RecourseSolver:
             self._component_cache[key] = x
         return x
 
+    def _energized(self, z, scenario):
+        """(row, buses, branches, optimal point) of each component of the
+        bus-survival rows z (P x n_buses) that has both demand and
+        generation, in order of (row, lowest bus index); the others serve
+        exactly 0. A failing LP raises RecourseError naming the row's
+        entry of scenario as scenario_index."""
+        g = self.grid
+        rows, buses, branches = _components(g, z)
+        if not buses:
+            return
+        mask = np.zeros((len(buses), g.n_buses), dtype=bool)
+        mask[np.repeat(np.arange(len(buses)), [b.size for b in buses]),
+             np.concatenate(buses)] = True
+        keep = np.flatnonzero((mask & (g.demand > 0)).any(axis=1)
+                              & (mask & (g.gen_max > 0)).any(axis=1))
+        for c, key in zip(keep.tolist(), np.packbits(mask[keep], axis=1)):
+            try:
+                x = self._component_x(key.tobytes(), buses[c], branches[c])
+            except RecourseError as exc:
+                raise RecourseError(str(exc), lp_status=exc.lp_status,
+                                    scenario_index=scenario[rows[c]]) from exc
+            yield rows[c], buses[c], branches[c], x
+
+    def _topology_sheds(self, z, scenario):
+        """Shed of each bus-survival row of z (P x n_buses): total demand
+        minus the served demand of its components, accumulated left to
+        right from 0.0 in component order (see _energized)."""
+        served = [0.0] * len(z)
+        for row, buses, _, x in self._energized(z, scenario):
+            served[row] += float(x[:buses.size].sum())
+        return self.grid.total_demand - np.array(served)
+
     def solve_topology(self, z) -> RecourseSolution:
         """Full recourse solution for one survival pattern, scattered from
-        its components' optimal points; served demand is summed over the
-        components in order of their lowest bus index."""
+        its components' optimal points; its shed is shed_for_topology's."""
         z = np.asarray(z, dtype=bool)
         g = self.grid
         nb = g.n_buses
         s, gen, alpha = np.zeros(nb), np.zeros(nb), np.zeros(nb)
         e = np.zeros(len(g.branches))
-        served = 0.0
-        for buses, branches in _components(g, z):
-            if not (g.demand[buses].any() and g.gen_max[buses].any()):
-                continue  # serves exactly 0
-            x = self._component_x(buses, branches)
-            n = len(buses)
+        for _, buses, branches, x in self._energized(z[None], (None,)):
+            n = buses.size
             s[buses] = x[:n]
             gen[buses] = x[n:2 * n]
             alpha[buses] = x[2 * n:3 * n]
             e[branches] = x[3 * n:]
-            served += float(x[:n].sum())
-        shed = float(g.total_demand - served)
         flow = np.zeros(nb)
         np.add.at(flow, g.head_idx, e)
         np.add.at(flow, g.tail_idx, -e)
         residual = float(np.max(np.abs(flow - gen + s), initial=0.0))
-        return RecourseSolution(z=z, s=s, g=gen, alpha=alpha, e=e, shed=shed,
-                                balance_residual=residual)
+        return RecourseSolution(z=z, s=s, g=gen, alpha=alpha, e=e,
+                                shed=self.shed_for_topology(z), balance_residual=residual)
 
     def shed_for_topology(self, z) -> float:
-        """Shed of one bus-level survival pattern z, solved on the
-        component cache; `sheds` calls it once per new pattern."""
-        return self.solve_topology(z).shed
+        """Shed of one bus-level survival pattern z: a batch of one."""
+        return float(self._topology_sheds(np.asarray(z, dtype=bool)[None], (None,))[0])
 
     def sheds(self, heights, deltas) -> np.ndarray:
         """Shed under every pair of a height vector and a scenario row of
@@ -318,23 +342,18 @@ class RecourseSolver:
     def pattern_sheds(self, alive, scenario) -> np.ndarray:
         """Shed of each substation-survival row of alive (..., flooded + 1,
         as from grid._substation_survival), from the pattern table. One
-        searchsorted finds every hit; each distinct miss goes once
-        through shed_for_topology, in order of first appearance, and a
-        failing LP raises RecourseError naming the row's entry of
-        scenario (broadcast over alive's leading axes) as scenario_index."""
+        searchsorted finds every hit; the distinct misses, in order of
+        first appearance, are solved together in one batch, and a failing
+        LP raises RecourseError naming the entry of scenario (broadcast
+        over alive's leading axes) of the first row that needs it as
+        scenario_index."""
         keys = _survival_key(alive)
         flat = alive.reshape(-1, alive.shape[-1])
-        scenario = np.broadcast_to(scenario, keys.shape)
+        scenario = np.broadcast_to(scenario, keys.shape).ravel()
 
         def solve(new):
-            sheds = []
-            for j in new:
-                try:
-                    sheds.append(self.shed_for_topology(flat[j, self.grid.bus_flood_pos]))
-                except RecourseError as exc:
-                    raise RecourseError(str(exc), lp_status=exc.lp_status,
-                                        scenario_index=int(scenario.flat[j])) from exc
-            return sheds
+            return self._topology_sheds(flat[new][:, self.grid.bus_flood_pos],
+                                        scenario[new].tolist())
 
         pos = self._patterns.positions(keys.ravel(), solve)
         return self._patterns.values[pos].reshape(keys.shape)

@@ -2,7 +2,8 @@
 
 Oracles here recompute answers from first principles (exhaustive plan
 enumeration, LP vertex enumeration, big-M feasibility, one recourse LP
-over the whole grid, one correlation match per pair, the scenario CSV
+over the whole grid, one correlation match per pair, one Pearson
+correlation per pair, the scenario CSV
 written cell by cell) so that a bug in the library
 cannot hide behind shared code paths.
 """
@@ -28,7 +29,8 @@ from nortagrid import lp
 from nortagrid import norta
 from nortagrid.lp import LpProblem
 from nortagrid.norta import FitReport, RhoMatch, ScenarioSet
-from nortagrid.stats import EmpiricalMarginal, normal_cdf, normal_score_thresholds
+from nortagrid.stats import (ConstantVectorError, EmpiricalMarginal, normal_cdf,
+                             normal_score_thresholds, pearson_corr)
 from nortagrid.twostage import RecourseSolver, TwoStageProblem, _SaaEvaluator, _search_data
 
 
@@ -575,6 +577,21 @@ def per_pair_rho_z(marginal_i, marginal_j, target, *, tol, max_iter, degree, ask
     mid = 0.5 * (lo + hi)
     c_mid = c_of(mid)
     return RhoMatch(mid, abs(c_mid - target), False)
+
+
+def per_pair_estimate_inputs(s):
+    """``norta.estimate_inputs``' target correlations, one
+    ``stats.pearson_corr`` call per pair (a constant column gives 0)."""
+    n = s.dim
+    sigma = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            try:
+                r = pearson_corr(s.scenarios[:, i], s.scenarios[:, j])
+            except ConstantVectorError:
+                r = 0.0
+            sigma[i, j] = sigma[j, i] = r
+    return sigma
 
 
 def per_pair_fit(s, *, degree=64, match_tol=1e-4, bisect_max_iter=200):

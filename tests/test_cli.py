@@ -3,6 +3,7 @@
 Exit codes: 0 ok, 2 validation, 3 numerical, 4 resource limit.
 """
 import argparse
+import hashlib
 import json
 import re
 
@@ -210,6 +211,37 @@ class TestPipelineArtifacts:
         assert run("fit", "scen.csv", "--out", "model_c.json", "--quiet") == 0
         assert (workdir / "model_c.json").read_bytes() == rerun_model
         assert (workdir / "synth_b.csv").read_bytes() == (workdir / "synth.csv").read_bytes()
+
+
+# The greedy-then-evaluate study on the 16/12/32 grid (the benchmark's
+# greedy-large spec), and the sha256 of its plan and report files as the
+# recourse path wrote them before new patterns were solved in batches.
+# Every shed, plan, SO estimate, OOS statistic and work counter is in
+# these bytes; a change that moves one in the last bit fails here.
+GREEDY_LARGE_SPEC = {"n_substations": 16, "n_flooded": 12, "buses_per_substation": 2,
+                     "topology": "grid", "n_scenarios": 32, "max_height": 5, "budget": 50,
+                     "seed": 3}
+GREEDY_LARGE_SHA256 = {
+    "plans.json": "d9b13bc3f6751bc32fb23147c7cba4bf50cc291274676d76cd01629da7ca5245",
+    "report.json": "d5238bde091aeaaa20e99b21c60043decd86b557fdeaa63aceea96cbef223530",
+    "report.csv": "044dfd589d44da7acd1b2f2138b05bb10523274ff4cfd2d85329c089e180afc9",
+}
+
+
+def test_greedy_study_artifacts_keep_their_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # manifests record the relative input paths
+    (tmp_path / "spec.json").write_text(json.dumps(GREEDY_LARGE_SPEC))
+    for step in (("make-instance", "--spec", "spec.json", "--out", "grid.json", "train.csv"),
+                 ("fit", "train.csv", "--out", "model.json"),
+                 ("generate", "model.json", "--count", 800, "--seed", 0, "--out", "synth.csv"),
+                 ("solve", "grid.json", "train.csv", "--method", "greedy",
+                  "--budgets", "0,10,25,50", "--out", "plans.json"),
+                 ("evaluate", "grid.json", "plans.json", "synth.csv",
+                  "--out", "report.json", "report.csv")):
+        assert run(*step, "--quiet") == 0, step[0]
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in GREEDY_LARGE_SHA256}
+    assert got == GREEDY_LARGE_SHA256
 
 
 class TestCliErrors:

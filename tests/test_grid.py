@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_big_m_z, dfs_components, save_scenarios_per_row, two_bus_grid
+from helpers import (brute_force_big_m_z, braess_grid, dfs_components, save_scenarios_per_row,
+                     two_bus_grid)
 from nortagrid.errors import ValidationError
 from nortagrid.grid import (
     Branch,
@@ -66,8 +67,8 @@ def scenario_sets(draw, uniform):
 
 
 def components(grid, z):
-    """Operational components as sorted lists of bus ids."""
-    return [sorted(int(grid.bus_ids[i]) for i in buses) for buses, _ in _components(grid, z)]
+    """Operational components of one pattern as sorted lists of bus ids."""
+    return [sorted(int(grid.bus_ids[i]) for i in buses) for buses in _components(grid, [z])[1]]
 
 
 def path_grid(n=3, alive_demand=4.0):
@@ -273,24 +274,60 @@ class TestConnectedComponents:
             assert sorted(flat) == sorted(np.flatnonzero(z).tolist())
             assert len(flat) == len(set(flat))
 
+    @staticmethod
+    def check_batch(grid, z):
+        """_components of the batch z against depth-first search on each
+        row alone: the same components in the same order, each with its
+        row, its ascending bus indices and the ascending live branches
+        whose head is in it."""
+        rows, buses, branches = _components(grid, z)
+        assert len(rows) == len(buses) == len(branches)
+        want_rows, want_buses, want_branches = [], [], []
+        for p, zp in enumerate(z):
+            on = zp[grid.head_idx] & zp[grid.tail_idx]
+            for comp in dfs_components(grid, zp):
+                want_rows.append(p)
+                want_buses.append(comp)
+                want_branches.append(np.flatnonzero(on & np.isin(grid.head_idx, comp)).tolist())
+        assert rows.tolist() == want_rows
+        assert [b.tolist() for b in buses] == want_buses
+        assert [r.tolist() for r in branches] == want_branches
+
     @pytest.mark.parametrize("topology", ["ring", "tree", "grid"])
     def test_labels_agree_with_depth_first_search(self, topology):
-        # Same components in the same order, each with its ascending bus
-        # indices and the ascending live branches whose head is in it.
         spec = InstanceSpec(n_substations=9, n_flooded=6, buses_per_substation=2,
                             topology=topology, seed=11)
         grid, _ = generate_instance(spec)
         rng = np.random.default_rng(4)
         for p_alive in (0.3, 0.6, 0.9, 1.0):
             for _ in range(15):
-                z = rng.random(grid.n_buses) < p_alive
-                got = _components(grid, z)
-                want = dfs_components(grid, z)
-                assert [b.tolist() for b, _ in got] == want
-                on = z[grid.head_idx] & z[grid.tail_idx]
-                for buses, branches in got:
-                    assert branches.tolist() == np.flatnonzero(
-                        on & np.isin(grid.head_idx, buses)).tolist()
+                self.check_batch(grid, (rng.random(grid.n_buses) < p_alive)[None])
+
+    @pytest.mark.parametrize("grid", [
+        *(generate_instance(InstanceSpec(n_substations=n, n_flooded=n // 2,
+                                         buses_per_substation=bp, topology=topology,
+                                         seed=seed))[0]
+          for n, bp, topology, seed in ((7, 1, "ring", 1), (10, 2, "tree", 2),
+                                        (9, 3, "grid", 3), (16, 2, "grid", 4))),
+        braess_grid(),
+    ], ids=["ring", "tree", "grid", "grid-16", "braess"])
+    def test_batch_agrees_with_depth_first_search_per_row(self, grid):
+        # One labeling over many rows must not let components of different
+        # rows meet: all-dead rows, fully alive rows, isolated live buses
+        # and P = 1 batches included.
+        rng = np.random.default_rng(7)
+        nb = grid.n_buses
+        isolated = np.zeros(nb, dtype=bool)
+        isolated[::3] = True
+        fixed = np.array([np.zeros(nb, dtype=bool), np.ones(nb, dtype=bool), isolated])
+        for size in (1, 2, 5, 40):
+            z = rng.random((size, nb)) < rng.uniform(0.1, 1.0, size=(size, 1))
+            self.check_batch(grid, z)
+            self.check_batch(grid, np.concatenate([fixed, z])[rng.permutation(size + 3)])
+        for row in fixed:
+            self.check_batch(grid, row[None])
+        rows, buses, branches = _components(grid, np.zeros((4, nb), dtype=bool))
+        assert rows.size == 0 and buses == [] and branches == []
 
 
 class TestInstanceSpec:
@@ -521,6 +558,19 @@ class TestScenarioFiles:
         p = tmp_path / "scen.csv"
         p.write_text("0,1\n1,2\n3\n")
         with pytest.raises(ValidationError):
+            load_scenarios(p)
+
+    def test_repeated_column_ids_never_reach_a_file(self, tmp_path):
+        # A set that save_scenarios could write under a header that
+        # load_scenarios rejects cannot be built in the first place.
+        with pytest.raises(ValidationError,
+                           match=r"scenario columns: substation id 1 repeats \(columns 1 and 2\)"):
+            ScenarioSet.with_uniform_probs([[1, 2], [0, 1]], columns=(1, 1))
+        with pytest.raises(ValidationError, match="substation id 7 repeats"):
+            ScenarioSet([[1.0, 2.0, 3.0]], [1.0], columns=(7, 3, 7))
+        p = tmp_path / "scen.csv"
+        p.write_text("1,1\n1,2\n0,1\n")
+        with pytest.raises(ValidationError, match="line 1: substation id 1 repeats"):
             load_scenarios(p)
 
     @settings(max_examples=80, deadline=None)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ar1_height_panel, per_pair_fit
+from helpers import ar1_height_panel, per_pair_estimate_inputs, per_pair_fit
 from nortagrid import norta
 from nortagrid.errors import ValidationError
 from nortagrid.norta import (
@@ -477,6 +477,28 @@ class TestEstimateInputs:
         assert sigma.shape == (4, 4)
         assert np.array_equal(sigma, sigma.T)
         assert np.array_equal(np.diag(sigma), np.ones(4))
+
+    def test_targets_match_per_pair_pearson_bit_for_bit(self):
+        # Each column centered once and one dot per pair are the float
+        # operations of stats.pearson_corr, so every target keeps its bits:
+        # small and wide panels, constant columns, near-collinear columns
+        # that reach the clamp, and the 72-column panel.
+        rng = np.random.default_rng(8)
+        sets = [ar1_height_panel().scenarios]
+        for _ in range(40):
+            k, n = int(rng.integers(2, 40)), int(rng.integers(2, 30))
+            heights = rng.integers(0, int(rng.integers(1, 13)), size=(k, n)).astype(float)
+            heights[:, rng.random(n) < 0.15] = 3.0
+            if n > 2:
+                heights[:, 1] = heights[:, 0] * 3.0 + 1.0
+                heights[:, 2] = -0.1 * heights[:, 0]
+            sets.append(heights)
+        sets.append(rng.standard_normal((900, 6)) * 1e3)
+        for heights in sets:
+            s = ScenarioSet.with_uniform_probs(heights)
+            got = estimate_inputs(s)[1]
+            assert got.tobytes() == per_pair_estimate_inputs(s).tobytes()
+            assert np.all(np.abs(got) <= 1.0)
 
 
 class TestScenarioSet:

@@ -343,6 +343,90 @@ class TestCopperPlate:
         assert below >= 30
 
 
+class TestBatchedPatterns:
+    """pattern_sheds solves a call's new patterns in one batch. Each must
+    shed what solve_topology sheds for it alone, bit for bit, and the
+    component routes must be counted as a one-at-a-time run counts them,
+    so the manifests' `work` keeps its values."""
+
+    @staticmethod
+    def patterns(grid, rng, size):
+        """size substation-survival rows (flooded + 1, the safe bit
+        last), repeats and the all-dead and all-alive rows included."""
+        nf = len(grid.flooded_ids)
+        alive = rng.random((size, nf + 1)) < rng.uniform(0.2, 1.0, size=(size, 1))
+        alive[:2, :-1] = [[False], [True]]
+        alive[-3:] = alive[:3]
+        alive[:, -1] = True
+        return alive
+
+    def test_batch_matches_one_at_a_time(self):
+        routes = np.zeros(2, dtype=int)
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            grid, _ = generate_instance(InstanceSpec(
+                n_substations=int(rng.integers(4, 10)),
+                n_flooded=int(rng.integers(2, 7)) // 2 * 2,
+                buses_per_substation=int(rng.integers(1, 4)),
+                topology=["ring", "tree", "grid"][seed % 3], n_scenarios=1,
+                # Half the grids are congested, so some components run an LP.
+                capacity_slack=float(rng.uniform(0.05, 0.3)) if seed % 2 else 1.2, seed=seed))
+            alive = self.patterns(grid, rng, 60)
+            batch = RecourseSolver(grid)
+            got = batch.pattern_sheds(alive, np.arange(len(alive)))
+            one = RecourseSolver(grid)
+            want = []
+            for row in alive:
+                z = row[grid.bus_flood_pos]
+                sol = one.solve_topology(z)
+                served = 0.0  # left to right in order of lowest bus index
+                for buses, _ in energized_components(grid, z):
+                    served += float(sol.s[buses].sum())
+                assert sol.shed == grid.total_demand - served, seed
+                want.append(sol.shed)
+            assert got.tolist() == want, seed
+            assert (batch.certified, batch.lp_solves) == (one.certified, one.lp_solves), seed
+            assert batch._component_cache.keys() == one._component_cache.keys(), seed
+            routes += batch.certified, batch.lp_solves
+        assert routes.all()  # both routes ran
+
+    def test_batches_of_any_split_agree(self):
+        # The same rows in one batch, in batches of one and in halves.
+        grid, _ = generate_instance(InstanceSpec(
+            n_substations=9, n_flooded=6, buses_per_substation=2, topology="grid",
+            capacity_slack=0.1, seed=4))
+        alive = self.patterns(grid, np.random.default_rng(2), 40)
+        whole = RecourseSolver(grid).pattern_sheds(alive, 0)
+        single = RecourseSolver(grid)
+        halves = RecourseSolver(grid)
+        assert [float(single.pattern_sheds(row, 0)) for row in alive] == whole.tolist()
+        assert np.concatenate([halves.pattern_sheds(alive[:20], 0),
+                               halves.pattern_sheds(alive[20:], 0)]).tolist() == whole.tolist()
+        assert (single.certified, single.lp_solves) == (halves.certified, halves.lp_solves)
+
+    def test_failing_lp_names_the_first_pattern_that_needs_it(self, monkeypatch):
+        # Weak spokes: every component with a spoke runs its LP, and each
+        # LP with a demand bus down fails. Scenarios 1 and 2 each leave
+        # one such component; scenario 1 comes first in the batch.
+        g = star_grid(n_flooded=2, susceptance=1.0)
+        real = lp.solve_lp
+        whole_grid_columns = 3 * g.n_buses + len(g.branches)
+
+        def fail_when_bus_down(prob):
+            sol = real(prob)
+            if prob.n_vars < whole_grid_columns:
+                return lp.LpSolution(lp.ITERATION_LIMIT, None, None, 0.0, sol.iterations)
+            return sol
+
+        monkeypatch.setattr(lp, "solve_lp", fail_when_bus_down)
+        for deltas, first in (([[0, 0], [0, 3], [3, 0], [0, 3]], 1),
+                              ([[0, 0], [0, 0], [3, 0], [0, 3]], 2)):
+            with pytest.raises(RecourseError) as info:
+                RecourseSolver(g).sheds(np.array([2, 2]), np.array(deltas, dtype=float))
+            assert info.value.scenario_index == first
+            assert info.value.lp_status == lp.ITERATION_LIMIT
+
+
 class TestSaaObjective:
     def test_averages_over_scenarios(self):
         g = two_bus_grid(susceptance=10.0)
